@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/common/ensure.h"
-#include "src/obs/profile.h"
 
 namespace gridbox::net {
 
@@ -45,7 +44,6 @@ void SimNetwork::install_chaos(std::unique_ptr<ChaosSchedule> chaos) {
 }
 
 void SimNetwork::send(Message message) {
-  GRIDBOX_PROFILE_SCOPE("net.send");
   ++stats_.messages_sent;
   stats_.bytes_sent += message.frame.size();
   if (distance_) {
@@ -83,8 +81,7 @@ void SimNetwork::send(Message message) {
   simulator_.schedule_frame_after(delay, message, *this);
   for (const SimTime offset : duplicates) {
     ++stats_.messages_duplicated;
-    // A duplicate traverses the wire too: count its bytes exactly once, in
-    // lockstep with the observability-layer bytes_on_wire counter.
+    // A duplicate traverses the wire too: count its bytes exactly once.
     stats_.bytes_sent += message.frame.size();
     if (observer_ != nullptr) {
       observer_->on_duplicate(message, simulator_.now());

@@ -3,6 +3,10 @@
 #include <cerrno>
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <limits>
+#include <thread>
 #include <utility>
 
 #include "src/common/ensure.h"
@@ -90,6 +94,26 @@ std::size_t Reactor::slot_of(SimTime deadline) const {
 }
 
 void Reactor::insert(Entry entry) {
+  if (next_seq_ == std::numeric_limits<std::uint32_t>::max()) {
+    renumber_pending();
+  }
+  entry.seq = next_seq_++;
+  place(std::move(entry));
+}
+
+void Reactor::renumber_pending() {
+  std::vector<Entry*> pending;
+  pending.reserve(pending_timers_);
+  for (auto& slot : wheel_) {
+    for (Entry& entry : slot) pending.push_back(&entry);
+  }
+  std::sort(pending.begin(), pending.end(),
+            [](const Entry* a, const Entry* b) { return a->seq < b->seq; });
+  next_seq_ = 0;
+  for (Entry* entry : pending) entry->seq = next_seq_++;
+}
+
+void Reactor::place(Entry entry) {
   wheel_[slot_of(entry.deadline)].push_back(std::move(entry));
   ++pending_timers_;
 }
@@ -176,14 +200,16 @@ void Reactor::advance_wheel(SimTime now) {
   }
   last_tick_ = cur_tick;
   pending_timers_ -= due_.size() + deferred.size();
-  for (Entry& entry : deferred) insert(std::move(entry));
+  for (Entry& entry : deferred) place(std::move(entry));
   if (due_.empty()) return;
-  // Fire in deadline order, mirroring the simulator's time-ordered queue
-  // (ties keep extraction order — there is no cross-thread order to match).
-  std::stable_sort(due_.begin(), due_.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return a.deadline < b.deadline;
-                   });
+  // Fire in (deadline, seq) order, mirroring the simulator's time-ordered
+  // FIFO queue. Extraction order is no tie-break: removal swaps the slot's
+  // last entry into the hole, and past deadlines clamp to now(), so entries
+  // scheduled in order often share a deadline.
+  std::sort(due_.begin(), due_.end(), [](const Entry& a, const Entry& b) {
+    return a.deadline != b.deadline ? a.deadline < b.deadline
+                                    : a.seq < b.seq;
+  });
   if (telemetry_ != nullptr) {
     telemetry_->dispatch_per_tick.observe(due_.size());
   }
@@ -250,6 +276,37 @@ bool Reactor::run_until(const std::function<bool()>& done, SimTime deadline) {
       handlers_[i]->on_readable(pollfds_[i].fd);
     }
   }
+}
+
+bool run_reactors(const std::vector<std::unique_ptr<Reactor>>& reactors,
+                  const std::function<bool()>& done, SimTime deadline) {
+  std::atomic<bool> failed{false};
+  const auto stop = [&]() {
+    return failed.load(std::memory_order_acquire) || done();
+  };
+  std::vector<char> shard_done(reactors.size(), 0);
+  std::vector<std::exception_ptr> errors(reactors.size());
+  std::vector<std::thread> threads;
+  threads.reserve(reactors.size());
+  for (std::size_t s = 0; s < reactors.size(); ++s) {
+    threads.emplace_back([&, s]() {
+      try {
+        shard_done[s] = reactors[s]->run_until(stop, deadline) ? 1 : 0;
+      } catch (...) {
+        // Never throw across threads: park the error, stop the siblings
+        // (they would otherwise poll on until the deadline), report after
+        // the join.
+        errors[s] = std::current_exception();
+        failed.store(true, std::memory_order_release);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+  return std::all_of(shard_done.begin(), shard_done.end(),
+                     [](char d) { return d != 0; });
 }
 
 }  // namespace gridbox::net

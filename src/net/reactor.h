@@ -35,6 +35,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -77,7 +78,9 @@ class Reactor final : public sim::Scheduler {
   [[nodiscard]] SimTime now() const override;
 
   // sim::Scheduler — same clamping semantics as the simulator: times in
-  // the past mean "as soon as possible".
+  // the past mean "as soon as possible", and entries due at the same time
+  // fire in the order they were scheduled (a periodic re-arm counts as a
+  // fresh schedule).
   void schedule_at(SimTime time, sim::Action action) override;
   void schedule_after(SimTime delay, sim::Action action) override;
   void schedule_periodic(SimTime start, SimTime interval,
@@ -144,10 +147,22 @@ class Reactor final : public sim::Scheduler {
     SimTime interval;  ///< zero = one-shot
     sim::TimerTarget* target = nullptr;
     std::uint32_t timer_id = 0;
+    /// Schedule order: the FIFO tie-break among equal deadlines, like the
+    /// simulator's event sequence number. Kept when the entry changes slot.
+    /// 32 bits fit in timer_id's padding, so the sequence adds no bytes to
+    /// an entry: the wheel holds many, and peak memory tracks their size.
+    std::uint32_t seq = 0;
     sim::Action action;  ///< used when target == null
   };
 
+  /// Stamps the next sequence number on a newly scheduled (or re-armed)
+  /// entry and places it.
   void insert(Entry entry);
+  /// Puts an entry in its deadline's slot, keeping its sequence number.
+  void place(Entry entry);
+  /// Before next_seq_ wraps: renumbers pending entries from zero, in
+  /// their current order.
+  void renumber_pending();
   /// Runs cross-thread post()ed actions on this thread, in post order.
   void drain_posted();
   [[nodiscard]] std::size_t slot_of(SimTime deadline) const;
@@ -161,6 +176,7 @@ class Reactor final : public sim::Scheduler {
   std::vector<std::vector<Entry>> wheel_;
   std::int64_t last_tick_ = -1;  ///< last wheel tick fully processed
   std::size_t pending_timers_ = 0;
+  std::uint32_t next_seq_ = 0;
   std::vector<Entry> due_;  ///< scratch: entries being fired this pass
 
   std::vector<pollfd> pollfds_;
@@ -177,5 +193,13 @@ class Reactor final : public sim::Scheduler {
   std::uint64_t polls_ = 0;
   std::uint64_t eintr_retries_ = 0;
 };
+
+/// Runs each reactor's loop on its own thread until `done()` or the real
+/// clock passes `deadline`. Every shard probes `done()`, so it must read
+/// only atomics. A shard that throws stops its siblings at their next loop
+/// iteration; once all threads have joined, the first error in shard order
+/// is rethrown. Returns true iff every shard saw done().
+bool run_reactors(const std::vector<std::unique_ptr<Reactor>>& reactors,
+                  const std::function<bool()>& done, SimTime deadline);
 
 }  // namespace gridbox::net

@@ -14,8 +14,8 @@ struct NetworkStats {
   std::uint64_t messages_duplicated = 0;  ///< extra deliveries from chaos dup
 
   /// Frame bytes put on the wire: counted once per wire traversal, so each
-  /// chaos-injected duplicate adds the frame size again. Matches the
-  /// observability bytes_on_wire counter exactly.
+  /// chaos-injected duplicate adds the frame size again. The metrics
+  /// bytes_on_wire counter is read from here.
   std::uint64_t bytes_sent = 0;
 
   /// Sum of Euclidean link distances over all sends; meaningful only when a

@@ -48,9 +48,6 @@ std::string RunManifest::to_json() const {
     w.end_object();
   }
   w.end_array();
-  if (!profile.empty()) {
-    w.key("profile").raw(profile.to_json());
-  }
   w.end_object();
   return w.take();
 }

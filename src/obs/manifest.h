@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
-#include "src/obs/profile.h"
 #include "src/obs/timeline.h"
 
 namespace gridbox::obs {
@@ -44,8 +43,6 @@ struct RunManifest {
     MetricsSnapshot metrics;           ///< may be empty (metrics off)
   };
   std::vector<RunEntry> runs;
-
-  ProfileSnapshot profile;  ///< merged hot-path profile; usually empty
 
   [[nodiscard]] std::uint64_t config_hash() const {
     return fnv1a64(config_text);

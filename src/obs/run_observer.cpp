@@ -46,16 +46,16 @@ RunObserver::RunObserver(Options options) : options_(options) {
 
 SimTime RunObserver::now() const { return options_.simulator->now(); }
 
-void RunObserver::flush() {
+void RunObserver::flush(const net::NetworkStats& network) {
   MetricsRegistry* m = options_.metrics;
   if (m == nullptr) return;
-  m->counter("msgs_sent").inc(tally_.msgs_sent);
-  m->counter("msgs_dropped").inc(tally_.msgs_dropped);
-  m->counter("msgs_duplicated").inc(tally_.msgs_duplicated);
-  m->counter("msgs_delivered").inc(tally_.msgs_delivered);
-  m->counter("msgs_dead_dest").inc(tally_.msgs_dead_dest);
-  m->counter("msgs_malformed").inc(tally_.msgs_malformed);
-  m->counter("bytes_on_wire").inc(tally_.bytes_on_wire);
+  m->counter("msgs_sent").inc(network.messages_sent);
+  m->counter("msgs_dropped").inc(network.messages_dropped);
+  m->counter("msgs_duplicated").inc(network.messages_duplicated);
+  m->counter("msgs_delivered").inc(network.messages_delivered);
+  m->counter("msgs_dead_dest").inc(network.messages_dead_dest);
+  m->counter("msgs_malformed").inc(network.messages_malformed);
+  m->counter("bytes_on_wire").inc(network.bytes_sent);
   m->counter("gossip_rounds").inc(tally_.rounds);
   m->counter("phase_conclusions").inc(tally_.conclusions);
   m->counter("finishes").inc(tally_.finishes);
@@ -81,8 +81,6 @@ void RunObserver::on_send(const net::Message& message, SimTime t) {
       message.source.value() < member_phase_.size()
           ? member_phase_[message.source.value()]
           : 0;
-  tally_.msgs_sent += 1;
-  tally_.bytes_on_wire += message.frame.size();
   if (phase >= msgs_by_phase_.size()) msgs_by_phase_.resize(phase + 1, 0);
   msgs_by_phase_[phase] += 1;
   timeline_.at_phase(phase).msgs_sent += 1;
@@ -98,7 +96,6 @@ void RunObserver::on_send(const net::Message& message, SimTime t) {
 }
 
 void RunObserver::on_drop(const net::Message& message, SimTime t) {
-  tally_.msgs_dropped += 1;
   if (options_.sink != nullptr) {
     options_.sink->message_event("drop", t, message.source,
                                  message.destination,
@@ -111,10 +108,6 @@ void RunObserver::on_drop(const net::Message& message, SimTime t) {
 }
 
 void RunObserver::on_duplicate(const net::Message& message, SimTime t) {
-  tally_.msgs_duplicated += 1;
-  // A duplicate is one more wire traversal: bytes_on_wire counts it once,
-  // matching NetworkStats::bytes_sent byte for byte.
-  tally_.bytes_on_wire += message.frame.size();
   if (options_.sink != nullptr) {
     options_.sink->message_event("dup", t, message.source,
                                  message.destination,
@@ -127,7 +120,6 @@ void RunObserver::on_duplicate(const net::Message& message, SimTime t) {
 }
 
 void RunObserver::on_deliver(const net::Message& message, SimTime t) {
-  tally_.msgs_delivered += 1;
   if (options_.sink != nullptr) {
     options_.sink->message_event("recv", t, message.source,
                                  message.destination,
@@ -140,7 +132,6 @@ void RunObserver::on_deliver(const net::Message& message, SimTime t) {
 }
 
 void RunObserver::on_dead_destination(const net::Message& message, SimTime t) {
-  tally_.msgs_dead_dest += 1;
   if (options_.sink != nullptr) {
     options_.sink->message_event("dead", t, message.source,
                                  message.destination,
@@ -153,7 +144,6 @@ void RunObserver::on_dead_destination(const net::Message& message, SimTime t) {
 }
 
 void RunObserver::on_malformed(const net::Message& message, SimTime t) {
-  tally_.msgs_malformed += 1;
   if (options_.sink != nullptr) {
     options_.sink->message_event("malformed", t, message.source,
                                  message.destination,

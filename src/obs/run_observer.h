@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/net/observer.h"
+#include "src/net/stats.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
 #include "src/obs/trace_sink.h"
@@ -75,9 +76,12 @@ class RunObserver final : public net::NetworkObserver,
   void on_crash(MemberId member);
 
   /// Writes the run's tallies into the metrics registry (no-op without
-  /// one). run_experiment calls this once, after the simulator drains and
-  /// before the registry is snapshotted; events observed later are lost.
-  void flush();
+  /// one). The message counters come from `network`, the run's own
+  /// NetworkStats, which counts every event the on_* hooks see; the
+  /// observer keeps no second copy. run_experiment calls this once, after
+  /// the simulator drains and before the registry is snapshotted; events
+  /// observed later are lost.
+  void flush(const net::NetworkStats& network);
 
   [[nodiscard]] const PhaseTimeline& timeline() const { return timeline_; }
 
@@ -97,13 +101,6 @@ class RunObserver final : public net::NetworkObserver,
   // scattered cache lines; bouncing through five of them per message was
   // the dominant term in the obs-overhead gate.
   struct Tally {
-    std::uint64_t msgs_sent = 0;
-    std::uint64_t msgs_dropped = 0;
-    std::uint64_t msgs_duplicated = 0;
-    std::uint64_t msgs_delivered = 0;
-    std::uint64_t msgs_dead_dest = 0;
-    std::uint64_t msgs_malformed = 0;
-    std::uint64_t bytes_on_wire = 0;
     std::uint64_t rounds = 0;
     std::uint64_t conclusions = 0;
     std::uint64_t finishes = 0;

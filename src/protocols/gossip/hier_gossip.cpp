@@ -7,7 +7,6 @@
 #include "src/agg/codec.h"
 #include "src/common/ensure.h"
 #include "src/common/log.h"
-#include "src/obs/profile.h"
 
 namespace gridbox::protocols::gossip {
 
@@ -31,7 +30,6 @@ constexpr std::size_t kChildEntryBytes =
 
 net::Frame HierGossipNode::encode_votes(
     std::uint64_t group_prefix, const std::vector<VoteEntry>& entries) {
-  GRIDBOX_PROFILE_SCOPE("codec.encode");
   agg::ByteWriter w;
   w.u8(kVoteGossip);
   w.u8(1);  // phase
@@ -48,7 +46,6 @@ net::Frame HierGossipNode::encode_votes(
 net::Frame HierGossipNode::encode_children(
     std::uint8_t phase, std::uint64_t group_prefix,
     const std::vector<ChildEntry>& entries) {
-  GRIDBOX_PROFILE_SCOPE("codec.encode");
   agg::ByteWriter w;
   w.u8(kChildGossip);
   w.u8(phase);
@@ -187,7 +184,6 @@ bool HierGossipNode::on_round() {
   }
   if (finished()) return false;
 
-  GRIDBOX_PROFILE_SCOPE("gossip.round");
   count_round();
   ++rounds_in_phase_;
 
@@ -309,7 +305,6 @@ HierGossipNode::Candidate HierGossipNode::pick_value_to_send() {
 
 void HierGossipNode::on_message(const net::Message& message) {
   if (finished() || !alive()) return;
-  GRIDBOX_PROFILE_SCOPE("codec.decode");
   agg::ByteReader r(message.frame);
   const std::uint8_t type = r.u8();
   const std::size_t msg_phase = r.u8();

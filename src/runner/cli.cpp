@@ -192,9 +192,6 @@ observability
   --flight-recorder PATH arm a bounded in-memory event ring per run; when a
                          run dies on an invariant violation, dump config +
                          chaos spec + event tail to PATH for replay
-  --profile              time hot paths (sim.run / net.send / gossip.round /
-                         codec.encode / codec.decode / queue.pop) and print
-                         the aggregate after the summary
   --telemetry-out PATH   stream gridbox-telemetry/1 JSONL health samples
                          (per-lane counters + log2 histograms; view live
                          with gridbox_top --file PATH)
@@ -376,8 +373,6 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
         break;
       }
       p.options.in_flight = static_cast<std::size_t>(u);
-    } else if (flag == "--profile") {
-      config.profile = true;
     } else {
       (void)p.fail("unknown flag: " + flag);
       break;
@@ -703,16 +698,9 @@ int run_cli(const CliOptions& options) {
   // Observability outputs, merged over runs in run (slot) order so the
   // emitted JSON is bitwise-identical for every --jobs value.
   obs::MetricsSnapshot merged_metrics;
-  obs::ProfileSnapshot merged_profile;
-  for (const RunResult& r : results) {
-    merged_metrics.merge(r.metrics);
-    merged_profile.merge(r.profile);
-  }
+  for (const RunResult& r : results) merged_metrics.merge(r.metrics);
   if (options.metrics) {
     std::printf("\n[metrics] %s\n", merged_metrics.to_json().c_str());
-  }
-  if (!merged_profile.empty()) {
-    std::printf("\n[profile] %s\n", merged_profile.to_json().c_str());
   }
   if (!options.trace_out.empty()) {
     std::printf("[trace] %s (%zu file%s)\n", options.trace_out.c_str(),
@@ -735,7 +723,6 @@ int run_cli(const CliOptions& options) {
     manifest.base_seed = options.config.seed;
     manifest.jobs = jobs;
     manifest.wall_s = wall_seconds;
-    manifest.profile = merged_profile;
     for (std::size_t run = 0; run < options.runs; ++run) {
       obs::RunManifest::RunEntry entry;
       entry.seed = options.config.seed + run;

@@ -123,11 +123,6 @@ struct ExperimentConfig {
   /// above: excluded from config_canonical_text, never affects results.
   obs::TelemetryConfig telemetry;
 
-  /// Aggregate hot-path scoped timers for this run (RunResult::profile).
-  /// Wall-clock telemetry: counts are deterministic, elapsed times are not.
-  /// Defaults to the GRIDBOX_PROFILE environment variable.
-  bool profile = false;
-
   /// Chaos spec text (see docs/chaos.md); empty = no chaos. Parsed once per
   /// run; network-affecting directives replace the static ucast/partition
   /// loss pipeline for the run, crashes schedule on the simulator clock.

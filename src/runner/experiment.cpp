@@ -221,14 +221,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
     configure_curves(*config.curves, config, hier, group);
   }
 
-  // Hot-path profiling: thread-local collector installed for the run only.
-  // Allocated on demand so an unprofiled run never constructs the registry
-  // (tests assert exactly that).
-  const bool profiling = config.profile || obs::profile_requested_by_env();
-  std::unique_ptr<obs::ProfileCollector> profiler;
-  if (profiling) profiler = std::make_unique<obs::ProfileCollector>();
-  obs::ProfileInstallGuard profile_guard(profiler.get());
-
   net::ChaosSpec chaos = net::ChaosSpec::parse(config.chaos_spec);
   // Churn needs an epoch boundary for a joiner to enter at; the one-shot
   // protocol has none. The service runtime (src/service) honors these.
@@ -381,9 +373,9 @@ RunResult run_experiment(const ExperimentConfig& config) {
   result.sim_events = executed;
   result.sim_end_us = simulator.now().ticks();
   if (metrics != nullptr) {
-    // The observer tallies hot-path events locally; fold them into the
-    // registry before anything reads it.
-    observer->flush();
+    // The observer tallies hot-path events locally; fold them and the
+    // network's message counters into the registry before anything reads it.
+    observer->flush(network.stats());
     // Whole-run facts that have no natural event: queue pressure, executed
     // events, and end-of-run completeness in basis points (integral, so the
     // merged sweep maximum stays bitwise-deterministic).
@@ -395,7 +387,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
     result.metrics = metrics->snapshot();
   }
   if (observer != nullptr) result.timeline = observer->timeline();
-  if (profiling) result.profile = profiler->snapshot();
   // The run clock dies with this frame; detach it so the caller-owned
   // trackers cannot dangle.
   if (config.lineage != nullptr) config.lineage->set_clock(nullptr);

@@ -6,7 +6,6 @@
 
 #include "src/net/stats.h"
 #include "src/obs/metrics.h"
-#include "src/obs/profile.h"
 #include "src/obs/timeline.h"
 #include "src/protocols/protocol_stats.h"
 #include "src/runner/config.h"
@@ -26,10 +25,9 @@ struct RunResult {
   /// Last simulated timestamp (always filled).
   std::int64_t sim_end_us = 0;
 
-  // Observability outputs, empty unless config.collect_metrics / profile.
+  // Observability outputs, empty unless config.collect_metrics.
   obs::MetricsSnapshot metrics;
   obs::PhaseTimeline timeline;
-  obs::ProfileSnapshot profile;
 };
 
 /// Executes one run. Deterministic in config (including config.seed).

@@ -104,7 +104,6 @@ SweepResult run_sweep(
       point.audit_violations += r.measurement.audit_violations;
       result.total_sim_events += r.sim_events;
       result.metrics.merge(r.metrics);
-      result.profile.merge(r.profile);
     }
 
     point.incompleteness = summarize(incompleteness);

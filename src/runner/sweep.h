@@ -47,10 +47,6 @@ struct SweepResult {
   /// buckets sum, gauges keep the maximum — all associative, so the merged
   /// snapshot is bitwise-identical at any jobs value.
   obs::MetricsSnapshot metrics;
-
-  /// Hot-path profiles merged across runs (counts deterministic, elapsed
-  /// times wall-clock). Empty unless profiling was on.
-  obs::ProfileSnapshot profile;
 };
 
 /// Runs the sweep. `apply` mutates a copy of `base` for the given x.

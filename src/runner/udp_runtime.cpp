@@ -6,7 +6,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <exception>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -261,8 +260,8 @@ UdpRunResult run_udp_experiment(const UdpRunConfig& udp_config) {
     nodes.push_back(std::move(node));
   }
   // Still single-threaded here: start() arms each node's timers on its
-  // shard reactor before any loop runs, and std::thread construction below
-  // publishes everything built so far to the shard threads.
+  // shard reactor before any loop runs, and the thread starts in
+  // net::run_reactors publish everything built so far to the shard threads.
   for (auto& node : nodes) node->start(SimTime::zero());
 
   // Per-round crash clock (paper §7 pf), ticking as a self-rescheduling
@@ -316,32 +315,15 @@ UdpRunResult run_udp_experiment(const UdpRunConfig& udp_config) {
   // === Run: one thread per reactor until global completion or deadline.
   // A shard must keep serving datagrams until *everyone* finished, not
   // just its own members; done() is one atomic load, not a scan.
-  const auto done = [&board]() { return board.done(); };
-  std::vector<std::thread> threads;
-  std::vector<char> shard_done(shard_count, 0);
-  std::vector<std::exception_ptr> errors(shard_count);
-  threads.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    threads.emplace_back([&, s]() {
-      try {
-        shard_done[s] = reactors[s]->run_until(done, deadline) ? 1 : 0;
-      } catch (...) {
-        errors[s] = std::current_exception();
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  const bool completed = net::run_reactors(
+      reactors, [&board]() { return board.done(); }, deadline);
 
   // Final sample post-join: exact closing record, ordered by the joins.
   if (tel_sampler != nullptr) tel_sampler->sample(reactors[0]->now());
 
   UdpRunResult result;
   result.shards = shard_count;
-  result.completed = true;
-  for (const char d : shard_done) result.completed = result.completed && d;
+  result.completed = completed;
   result.elapsed = reactors[0]->now();
 
   if (checker != nullptr) {

@@ -1,7 +1,6 @@
 #include "src/service/udp_service.h"
 
 #include <algorithm>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -174,24 +173,9 @@ UdpServiceResult run_udp_service(const UdpServiceConfig& udp_config) {
     }
   }
 
-  const auto done = [&engine]() { return engine.finished(); };
-  const SimTime deadline = engine.global_deadline();
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(shard_count);
-  threads.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    threads.emplace_back([&, s]() {
-      try {
-        (void)reactors[s]->run_until(done, deadline);
-      } catch (...) {
-        errors[s] = std::current_exception();
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  (void)net::run_reactors(
+      reactors, [&engine]() { return engine.finished(); },
+      engine.global_deadline());
 
   UdpServiceResult result;
   result.result = engine.collect();

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/common/ensure.h"
-#include "src/obs/profile.h"  // leaf utility: standard library only
 
 namespace gridbox::sim {
 
@@ -60,7 +59,6 @@ void Simulator::schedule_timer_at(SimTime time, TimerTarget& target,
 }
 
 std::uint64_t Simulator::run() {
-  GRIDBOX_PROFILE_SCOPE("sim.run");
   std::uint64_t count = 0;
   while (step()) {
     ++count;

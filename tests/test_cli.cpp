@@ -146,7 +146,7 @@ TEST(Cli, UsageMentionsEveryFlag) {
         "--exchange", "--no-early-bump", "--no-linger", "--committee-size",
         "--view-coverage", "--hash", "--loss", "--partition-loss", "--pf",
         "--workload", "--aggregate", "--audit", "--seed", "--runs", "--jobs",
-        "--csv", "--metrics", "--profile", "--trace-out", "--run-manifest",
+        "--csv", "--metrics", "--trace-out", "--run-manifest",
         "--lineage", "--curves-out", "--flight-recorder", "--help"}) {
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
   }

@@ -18,8 +18,6 @@
 #include "src/obs/flight_recorder.h"
 #include "src/obs/json.h"
 #include "src/obs/lineage.h"
-#include "src/obs/profile.h"
-#include "src/protocols/gossip/trace.h"
 #include "src/runner/config.h"
 #include "src/runner/experiment.h"
 
@@ -282,46 +280,6 @@ TEST(FlightRecorderTest, CapturesARunsEventStream) {
   EXPECT_NE(dump.find("gain"), std::string::npos);
   EXPECT_NE(dump.find("conclude"), std::string::npos);
   EXPECT_NE(dump.find("finish"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Profiling satellites: new scopes exist, and an unprofiled run never
-// installs a collector at all (the hot path stays free).
-
-class CollectorProbe final : public protocols::gossip::GossipTrace {
- public:
-  bool saw_collector = false;
-
-  void on_phase_entered(MemberId member, std::size_t phase) override {
-    (void)member;
-    (void)phase;
-    if (obs::ProfileCollector::current() != nullptr) saw_collector = true;
-  }
-};
-
-TEST(Profile, NoCollectorInstalledWhenProfilingOff) {
-  if (obs::profile_requested_by_env()) {
-    GTEST_SKIP() << "GRIDBOX_PROFILE is set";
-  }
-  ExperimentConfig config = curves_config();
-  CollectorProbe probe;
-  config.gossip.trace = &probe;
-  const RunResult result = runner::run_experiment(config);
-  EXPECT_TRUE(result.profile.empty());
-  EXPECT_FALSE(probe.saw_collector);
-}
-
-TEST(Profile, CodecAndQueueScopesReportWhenOn) {
-  ExperimentConfig config = curves_config();
-  config.profile = true;
-  const RunResult result = runner::run_experiment(config);
-  ASSERT_FALSE(result.profile.empty());
-  for (const char* section :
-       {"sim.run", "queue.pop", "codec.encode", "codec.decode"}) {
-    const auto it = result.profile.sections.find(section);
-    ASSERT_NE(it, result.profile.sections.end()) << section;
-    EXPECT_GT(it->second.count, 0u) << section;
-  }
 }
 
 }  // namespace

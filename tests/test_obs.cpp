@@ -208,7 +208,6 @@ TEST(CanonicalConfig, DistinguishesKnobsAndIgnoresInstrumentation) {
   EXPECT_EQ(runner::config_canonical_text(a), runner::config_canonical_text(b));
 
   b.collect_metrics = true;
-  b.profile = true;
   b.jobs = 16;
   b.seed = 999;  // seed is per-run identification, not a config knob
   EXPECT_EQ(runner::config_canonical_text(a), runner::config_canonical_text(b));

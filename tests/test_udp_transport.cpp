@@ -12,9 +12,11 @@
 #include <cerrno>
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -361,6 +363,42 @@ TEST(Reactor, FarFutureTimersParkBeyondTheWheelHorizon) {
   EXPECT_FALSE(far) << "far timer fired a lap early";
   ASSERT_TRUE(reactor.run_until([&]() { return far; }, SimTime::seconds(5)));
   EXPECT_GE(reactor.now(), SimTime::millis(40));
+}
+
+// Past deadlines clamp to now(), so a batch scheduled late shares one
+// deadline; the wheel must still fire it in schedule order (the simulator's
+// FIFO tie-break). Removal from a slot swaps the last entry into the hole,
+// so without a sequence tie-break this fired 0, 2, 1, 3.
+TEST(Reactor, SameDeadlineEntriesFireInScheduleOrder) {
+  net::Reactor reactor(reactor_options());
+  SimTime clock = SimTime::micros(1200);
+  reactor.set_clock_fn([&]() { return clock; });
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    reactor.schedule_at(SimTime::micros(500 * i),
+                        [&order, i]() { order.push_back(i); });
+  }
+  clock = SimTime::micros(2000);
+  reactor.fire_due_timers();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+// A shard that throws must not leave its siblings polling until the
+// deadline: run_reactors stops them, joins, and rethrows the error.
+TEST(Reactor, RunReactorsStopsSiblingsAndRethrowsAShardError) {
+  std::vector<std::unique_ptr<net::Reactor>> reactors;
+  for (int s = 0; s < 2; ++s) {
+    reactors.push_back(std::make_unique<net::Reactor>(reactor_options()));
+  }
+  reactors[0]->schedule_after(SimTime::millis(5), []() {
+    throw std::runtime_error("shard 0 failed");
+  });
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)net::run_reactors(
+                   reactors, []() { return false; }, SimTime::seconds(60)),
+               std::runtime_error);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10))
+      << "the sibling shard ran on toward the deadline";
 }
 
 // post() is the one cross-thread entry into a shard (DESIGN.md §14): each
