@@ -1,7 +1,9 @@
 #include "src/runner/cli.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <fstream>
@@ -10,6 +12,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <vector>
 
 #include "src/common/ensure.h"
@@ -29,6 +32,39 @@
 
 namespace gridbox::runner {
 
+bool parse_uint_flag(const std::string& flag, const std::string& value,
+                     std::uint64_t max, std::uint64_t* out,
+                     std::string* error) {
+  std::uint64_t parsed = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, parsed);
+  const bool too_big = ec == std::errc::result_out_of_range;
+  if (ptr != end || (ec != std::errc{} && !too_big)) {
+    *error = flag + ": not a non-negative integer: " + value;
+    return false;
+  }
+  if (too_big || parsed > max) {
+    *error = flag + ": out of range (max " + std::to_string(max) +
+             "): " + value;
+    return false;
+  }
+  *out = parsed;
+  return true;
+}
+
+bool parse_double_flag(const std::string& flag, const std::string& value,
+                       double* out, std::string* error) {
+  try {
+    std::size_t used = 0;
+    *out = std::stod(value, &used);
+    if (used == value.size()) return true;
+  } catch (const std::exception&) {
+    // Not a number, or beyond double's range: reported below.
+  }
+  *error = flag + ": not a number: " + value;
+  return false;
+}
+
 namespace {
 
 struct Parser {
@@ -38,33 +74,6 @@ struct Parser {
   [[nodiscard]] bool fail(const std::string& message) {
     error = message;
     return false;
-  }
-
-  [[nodiscard]] bool parse_double(const std::string& flag,
-                                  const std::string& value, double* out) {
-    try {
-      std::size_t used = 0;
-      *out = std::stod(value, &used);
-      if (used != value.size()) return fail(flag + ": not a number: " + value);
-    } catch (const std::exception&) {
-      return fail(flag + ": not a number: " + value);
-    }
-    return true;
-  }
-
-  [[nodiscard]] bool parse_uint(const std::string& flag,
-                                const std::string& value, std::uint64_t* out) {
-    try {
-      std::size_t used = 0;
-      const long long parsed = std::stoll(value, &used);
-      if (used != value.size() || parsed < 0) {
-        return fail(flag + ": not a non-negative integer: " + value);
-      }
-      *out = static_cast<std::uint64_t>(parsed);
-    } catch (const std::exception&) {
-      return fail(flag + ": not a non-negative integer: " + value);
-    }
-    return true;
   }
 
   [[nodiscard]] bool parse_protocol(const std::string& value) {
@@ -214,12 +223,22 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
     *out = args[++i];
     return true;
   };
+  const auto uint_value = [&](const std::string& flag, auto* out) {
+    std::string value;
+    return next_value(flag, &value) &&
+           parse_uint_flag(flag, value, out, &p.error);
+  };
+  const auto double_value = [&](const std::string& flag, double* out) {
+    std::string value;
+    return next_value(flag, &value) &&
+           parse_double_flag(flag, value, out, &p.error);
+  };
 
   for (; i < args.size(); ++i) {
     const std::string& flag = args[i];
     std::string value;
-    double d = 0.0;
     std::uint64_t u = 0;
+    SimTime::underlying us = 0;
 
     if (flag == "--help" || flag == "-h") {
       p.options.show_help = true;
@@ -229,21 +248,16 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
     } else if (flag == "--aggregate") {
       if (!next_value(flag, &value) || !p.parse_aggregate(value)) break;
     } else if (flag == "--n") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      config.group_size = static_cast<std::size_t>(u);
+      if (!uint_value(flag, &config.group_size)) break;
     } else if (flag == "--k") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      config.gossip.k = static_cast<std::uint32_t>(u);
-      config.hierarchy_k = static_cast<std::uint32_t>(u);
+      if (!uint_value(flag, &config.gossip.k)) break;
+      config.hierarchy_k = config.gossip.k;
     } else if (flag == "--m") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      config.gossip.fanout_m = static_cast<std::uint32_t>(u);
+      if (!uint_value(flag, &config.gossip.fanout_m)) break;
     } else if (flag == "--c") {
-      if (!next_value(flag, &value) || !p.parse_double(flag, value, &d)) break;
-      config.gossip.round_multiplier_c = d;
+      if (!double_value(flag, &config.gossip.round_multiplier_c)) break;
     } else if (flag == "--rounds-per-phase") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      config.gossip.rounds_per_phase_override = u;
+      if (!uint_value(flag, &config.gossip.rounds_per_phase_override)) break;
     } else if (flag == "--exchange") {
       if (!next_value(flag, &value)) break;
       if (value == "full") {
@@ -261,11 +275,9 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
     } else if (flag == "--no-linger") {
       config.gossip.final_phase_linger = false;
     } else if (flag == "--committee-size") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      config.committee.committee_size = static_cast<std::uint32_t>(u);
+      if (!uint_value(flag, &config.committee.committee_size)) break;
     } else if (flag == "--view-coverage") {
-      if (!next_value(flag, &value) || !p.parse_double(flag, value, &d)) break;
-      config.view_coverage = d;
+      if (!double_value(flag, &config.view_coverage)) break;
     } else if (flag == "--hash") {
       if (!next_value(flag, &value)) break;
       if (value == "fair") {
@@ -278,14 +290,11 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
         break;
       }
     } else if (flag == "--loss") {
-      if (!next_value(flag, &value) || !p.parse_double(flag, value, &d)) break;
-      config.ucast_loss = d;
+      if (!double_value(flag, &config.ucast_loss)) break;
     } else if (flag == "--partition-loss") {
-      if (!next_value(flag, &value) || !p.parse_double(flag, value, &d)) break;
-      config.partition_loss = d;
+      if (!double_value(flag, &config.partition_loss)) break;
     } else if (flag == "--pf") {
-      if (!next_value(flag, &value) || !p.parse_double(flag, value, &d)) break;
-      config.crash_probability = d;
+      if (!double_value(flag, &config.crash_probability)) break;
     } else if (flag == "--workload") {
       if (!next_value(flag, &value)) break;
       if (value == "uniform") {
@@ -308,17 +317,16 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
     } else if (flag == "--differential") {
       p.options.differential = true;
     } else if (flag == "--seed") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      config.seed = u;
+      if (!uint_value(flag, &config.seed)) break;
     } else if (flag == "--runs") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
+      if (!uint_value(flag, &u)) break;
       if (u == 0) {
         (void)p.fail("--runs: must be at least 1");
         break;
       }
       p.options.runs = static_cast<std::size_t>(u);
     } else if (flag == "--jobs") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
+      if (!uint_value(flag, &u)) break;
       if (u == 0) {
         (void)p.fail("--jobs: must be at least 1");
         break;
@@ -348,26 +356,23 @@ CliParseResult parse_cli(const std::vector<std::string>& args) {
       config.telemetry.out_path = value;
       config.telemetry.enabled = true;
     } else if (flag == "--telemetry-interval-us") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      if (u == 0) {
+      if (!uint_value(flag, &us)) break;
+      if (us == 0) {
         (void)p.fail("--telemetry-interval-us: must be positive");
         break;
       }
-      config.telemetry.interval =
-          SimTime::micros(static_cast<SimTime::underlying>(u));
+      config.telemetry.interval = SimTime::micros(us);
       config.telemetry.enabled = true;
     } else if (flag == "--flight-recorder") {
       if (!next_value(flag, &value)) break;
       p.options.flight_out = value;
     } else if (flag == "--instances") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      p.options.instances = static_cast<std::size_t>(u);
+      if (!uint_value(flag, &p.options.instances)) break;
     } else if (flag == "--epoch-interval-us") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
-      p.options.epoch_interval =
-          SimTime::micros(static_cast<SimTime::underlying>(u));
+      if (!uint_value(flag, &us)) break;
+      p.options.epoch_interval = SimTime::micros(us);
     } else if (flag == "--in-flight") {
-      if (!next_value(flag, &value) || !p.parse_uint(flag, value, &u)) break;
+      if (!uint_value(flag, &u)) break;
       if (u == 0) {
         (void)p.fail("--in-flight: must be at least 1");
         break;

@@ -4,6 +4,8 @@
 // processes; the tool's main() is a thin wrapper (tools/gridbox_sim.cpp).
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -62,6 +64,32 @@ struct CliParseResult {
   std::optional<CliOptions> options;  ///< set on success
   std::string error;                  ///< set on failure
 };
+
+/// Strict numeric flag values, shared by the gridbox_sim and gridbox_node
+/// front ends. The whole of `value` must parse; an integer is plain decimal
+/// digits (no sign, no spaces) no greater than `max`. On failure returns
+/// false and sets `*error` to a one-line message naming the flag.
+[[nodiscard]] bool parse_uint_flag(const std::string& flag,
+                                   const std::string& value, std::uint64_t max,
+                                   std::uint64_t* out, std::string* error);
+[[nodiscard]] bool parse_double_flag(const std::string& flag,
+                                     const std::string& value, double* out,
+                                     std::string* error);
+
+/// parse_uint_flag bounded by the type of `*out` (65535 for a port), so no
+/// value can wrap into a different one.
+template <typename T>
+[[nodiscard]] bool parse_uint_flag(const std::string& flag,
+                                   const std::string& value, T* out,
+                                   std::string* error) {
+  std::uint64_t parsed = 0;
+  if (!parse_uint_flag(flag, value, std::numeric_limits<T>::max(), &parsed,
+                       error)) {
+    return false;
+  }
+  *out = static_cast<T>(parsed);
+  return true;
+}
 
 /// Parses gridbox_sim flags (see usage_text()). `args` excludes argv[0].
 [[nodiscard]] CliParseResult parse_cli(const std::vector<std::string>& args);

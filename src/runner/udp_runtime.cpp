@@ -120,6 +120,10 @@ void require_fd_capacity(std::uint64_t need) {
 UdpRunResult run_udp_experiment(const UdpRunConfig& udp_config) {
   const ExperimentConfig& config = udp_config.experiment;
   expects(config.group_size >= 2, "need at least two members");
+  // Member m binds port_base + m; checked before any fd arithmetic, which
+  // would wrap for an absurd group size.
+  expects(config.group_size - 1 <= 65535u - udp_config.port_base,
+          "group does not fit the port space: port_base + n - 1 > 65535");
   // Sockets + stdio + test-framework slack; fail early with the numbers if
   // the hard limit cannot cover the run instead of mid-setup on bind().
   require_fd_capacity(config.group_size + 64);

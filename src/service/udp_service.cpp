@@ -40,6 +40,10 @@ UdpServiceResult run_udp_service(const UdpServiceConfig& udp_config) {
   const ServiceConfig& service = udp_config.service;
   const runner::ExperimentConfig& config = service.experiment;
   expects(config.group_size >= 2, "need at least two members");
+  // Member m binds port_base + m; checked before any fd arithmetic, which
+  // would wrap for an absurd group size.
+  expects(config.group_size - 1 <= 65535u - udp_config.port_base,
+          "group does not fit the port space: port_base + n - 1 > 65535");
   // One socket per member for the whole service — the mux keeps the fd
   // count independent of the instance count.
   const std::uint64_t fd_need = config.group_size + 64;

@@ -115,11 +115,21 @@ TEST(Cli, RejectsNonNumericValues) {
   EXPECT_NE(must_fail({"--n", "many"}).find("integer"), std::string::npos);
   EXPECT_NE(must_fail({"--loss", "lots"}).find("number"), std::string::npos);
   EXPECT_NE(must_fail({"--n", "12x"}).find("integer"), std::string::npos);
+  EXPECT_NE(must_fail({"--n", "+12"}).find("integer"), std::string::npos);
 }
 
 TEST(Cli, RejectsNegativeAndZeroWhereInvalid) {
   EXPECT_FALSE(parse_cli({"--runs", "0"}).options.has_value());
   EXPECT_FALSE(parse_cli({"--n", "-5"}).options.has_value());
+}
+
+TEST(Cli, RejectsValuesBeyondTheFieldWidth) {
+  // K is 32 bits wide: 2^32 + 4 must not silently run as K = 4.
+  EXPECT_NE(must_fail({"--k", "4294967300"}).find("out of range"),
+            std::string::npos);
+  EXPECT_EQ(must_parse({"--k", "4294967295"}).config.gossip.k, 4294967295u);
+  EXPECT_NE(must_fail({"--seed", "18446744073709551616"}).find("out of range"),
+            std::string::npos);
 }
 
 TEST(Cli, RejectsUnknownEnumValues) {

@@ -296,33 +296,39 @@ TEST(ChaosChurn, OneShotRunnersRejectChurnSpecs) {
 }
 
 TEST(ServiceEngine, StreamsInstancesAuditCleanWithBoundedWindow) {
-  const service::ServiceResult result =
-      service::run_service_experiment(small_service());
-  ASSERT_TRUE(result.completed);
-  ASSERT_EQ(result.instances.size(), 6u);
-  EXPECT_EQ(result.metrics.launched, 6u);
-  EXPECT_EQ(result.metrics.completed, 6u);
-  EXPECT_EQ(result.metrics.failed, 0u);
-  // Window 3 against 6 epochs on a cadence faster than a run: the later
-  // launches must have been deferred at their due time.
-  EXPECT_GT(result.metrics.deferred, 0u);
-  EXPECT_GT(result.metrics.instances_per_sec, 0.0);
-  EXPECT_GE(result.metrics.p99_completion, result.metrics.p50_completion);
-  EXPECT_GT(result.metrics.demux.delivered, 0u);
-  EXPECT_EQ(result.metrics.demux.malformed_envelope, 0u);
-  EXPECT_EQ(result.metrics.demux.unknown_instance, 0u);
-  for (std::size_t i = 0; i < result.instances.size(); ++i) {
-    const service::InstanceResult& inst = result.instances[i];
-    EXPECT_EQ(inst.id, i);  // sorted by id
-    EXPECT_TRUE(inst.completed) << "instance " << i;
-    EXPECT_EQ(inst.participants, 32u);
-    EXPECT_EQ(inst.measurement.audit_violations, 0u) << "instance " << i;
-    EXPECT_EQ(inst.measurement.reconstruction_failures, 0u)
-        << "instance " << i;
-    EXPECT_EQ(inst.invariant_violations, 0u)
-        << "instance " << i << ": " << inst.first_violation;
-    EXPECT_GT(inst.network.messages_sent, 0u);
-    EXPECT_GE(inst.completed_at, inst.launched_at);
+  // The second pass starts each member up to three rounds late in every
+  // instance: §2's multicast start, modelled as bounded start skew.
+  for (const SimTime skew : {SimTime::zero(), SimTime::millis(6)}) {
+    SCOPED_TRACE("start_skew_max " + std::to_string(skew.ticks()) + " us");
+    service::ServiceConfig sc = small_service();
+    sc.experiment.gossip.start_skew_max = skew;
+    const service::ServiceResult result = service::run_service_experiment(sc);
+    ASSERT_TRUE(result.completed);
+    ASSERT_EQ(result.instances.size(), 6u);
+    EXPECT_EQ(result.metrics.launched, 6u);
+    EXPECT_EQ(result.metrics.completed, 6u);
+    EXPECT_EQ(result.metrics.failed, 0u);
+    // Window 3 against 6 epochs on a cadence faster than a run: the later
+    // launches must have been deferred at their due time.
+    EXPECT_GT(result.metrics.deferred, 0u);
+    EXPECT_GT(result.metrics.instances_per_sec, 0.0);
+    EXPECT_GE(result.metrics.p99_completion, result.metrics.p50_completion);
+    EXPECT_GT(result.metrics.demux.delivered, 0u);
+    EXPECT_EQ(result.metrics.demux.malformed_envelope, 0u);
+    EXPECT_EQ(result.metrics.demux.unknown_instance, 0u);
+    for (std::size_t i = 0; i < result.instances.size(); ++i) {
+      const service::InstanceResult& inst = result.instances[i];
+      EXPECT_EQ(inst.id, i);  // sorted by id
+      EXPECT_TRUE(inst.completed) << "instance " << i;
+      EXPECT_EQ(inst.participants, 32u);
+      EXPECT_EQ(inst.measurement.audit_violations, 0u) << "instance " << i;
+      EXPECT_EQ(inst.measurement.reconstruction_failures, 0u)
+          << "instance " << i;
+      EXPECT_EQ(inst.invariant_violations, 0u)
+          << "instance " << i << ": " << inst.first_violation;
+      EXPECT_GT(inst.network.messages_sent, 0u);
+      EXPECT_GE(inst.completed_at, inst.launched_at);
+    }
   }
 }
 
@@ -404,6 +410,10 @@ TEST(ServiceEngine, RecoverReentersACrashedMemberAtAnEpochBoundary) {
   EXPECT_EQ(result.instances[1].participants, 15u);
   EXPECT_EQ(result.instances[2].participants, 15u);
   EXPECT_EQ(result.instances[3].participants, 16u);
+  // M2 crashes partway through instance 0: it neither survives nor
+  // finishes, while the other 15 members still deliver an estimate.
+  EXPECT_EQ(result.instances[0].measurement.survivors, 15u);
+  EXPECT_EQ(result.instances[0].measurement.finished_nodes, 15u);
 }
 
 TEST(ServiceEngine, LineageCollectsOneDocumentPerInstance) {

@@ -3,10 +3,14 @@
 // scripted churn, cross-checked per instance against the simulator — every
 // instance must be audit-clean, reconstructing, invariant-clean, and
 // bit-equal on ground truth across the two substrates. Also the one-shot
-// UDP runner's churn rejection (validated before any socket binds).
+// UDP runner's churn rejection and both runners' port-space check
+// (validated before any socket binds).
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/ensure.h"
@@ -21,6 +25,37 @@ TEST(UdpService, OneShotUdpRunnerRejectsChurnSpecs) {
   config.experiment.group_size = 16;
   config.experiment.chaos_spec = "join M1 at=5ms\n";
   EXPECT_THROW((void)runner::run_udp_experiment(config), PreconditionError);
+}
+
+// Both runners reject a group that overruns the port space up front — the
+// runner's own message, not UdpTransport::attach's after some members bound.
+template <typename Run>
+void expect_port_space_rejected(const Run& run) {
+  try {
+    run();
+    ADD_FAILURE() << "expected PreconditionError";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("port space: port_base + n - 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(UdpService, BothUdpRunnersRejectGroupsBeyondThePortSpace) {
+  for (const auto& [n, port_base] :
+       std::vector<std::pair<std::size_t, std::uint16_t>>{
+           {SIZE_MAX, 38000}, {200, 65500}}) {
+    runner::UdpRunConfig oneshot;
+    oneshot.experiment.group_size = n;
+    oneshot.port_base = port_base;
+    expect_port_space_rejected(
+        [&] { (void)runner::run_udp_experiment(oneshot); });
+    service::UdpServiceConfig stream;
+    stream.service.experiment.group_size = n;
+    stream.port_base = port_base;
+    expect_port_space_rejected(
+        [&] { (void)service::run_udp_service(stream); });
+  }
 }
 
 TEST(UdpService, SixtyFourInstanceDifferentialUnderLossAndChurn) {

@@ -19,6 +19,7 @@
 #include "src/net/chaos.h"
 #include "src/obs/build_info.h"
 #include "src/obs/manifest.h"
+#include "src/runner/cli.h"
 #include "src/runner/config.h"
 #include "src/runner/udp_differential.h"
 #include "src/runner/udp_runtime.h"
@@ -98,115 +99,117 @@ struct Options {
     out = argv[++i];
     return true;
   };
+  // Numeric values go through the strict parsers gridbox_sim uses.
+  const auto uint_value = [&](int& i, const char* flag, auto* out) {
+    std::string value, error;
+    if (!need_value(i, flag, value)) return false;
+    if (runner::parse_uint_flag(flag, value, out, &error)) return true;
+    std::cerr << error << "\n";
+    return false;
+  };
+  const auto double_value = [&](int& i, const char* flag, double* out) {
+    std::string value, error;
+    if (!need_value(i, flag, value)) return false;
+    if (runner::parse_double_flag(flag, value, out, &error)) return true;
+    std::cerr << error << "\n";
+    return false;
+  };
+  SimTime::underlying us = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     std::string value;
-    try {
-      if (flag == "--help") {
-        help = true;
-        return true;
-      } else if (flag == "--n") {
-        if (!need_value(i, "--n", value)) return false;
-        config.group_size = std::stoul(value);
-      } else if (flag == "--protocol") {
-        if (!need_value(i, "--protocol", value)) return false;
-        static const std::map<std::string, runner::ProtocolKind> kNames = {
-            {"hier-gossip", runner::ProtocolKind::kHierGossip},
-            {"all-to-all", runner::ProtocolKind::kFullyDistributed},
-            {"centralized", runner::ProtocolKind::kCentralized},
-            {"leader", runner::ProtocolKind::kLeaderElection},
-            {"committee", runner::ProtocolKind::kCommittee},
-        };
-        const auto it = kNames.find(value);
-        if (it == kNames.end()) {
-          std::cerr << "--protocol: unknown: " << value << "\n";
-          return false;
-        }
-        config.protocol = it->second;
-      } else if (flag == "--seed") {
-        if (!need_value(i, "--seed", value)) return false;
-        config.seed = std::stoull(value);
-      } else if (flag == "--aggregate") {
-        if (!need_value(i, "--aggregate", value)) return false;
-        static const std::map<std::string, agg::AggregateKind> kNames = {
-            {"average", agg::AggregateKind::kAverage},
-            {"sum", agg::AggregateKind::kSum},
-            {"min", agg::AggregateKind::kMin},
-            {"max", agg::AggregateKind::kMax},
-            {"count", agg::AggregateKind::kCount},
-            {"range", agg::AggregateKind::kRange},
-        };
-        const auto it = kNames.find(value);
-        if (it == kNames.end()) {
-          std::cerr << "--aggregate: unknown: " << value << "\n";
-          return false;
-        }
-        config.aggregate = it->second;
-      } else if (flag == "--port-base") {
-        if (!need_value(i, "--port-base", value)) return false;
-        options.udp.port_base = static_cast<std::uint16_t>(std::stoul(value));
-      } else if (flag == "--threads") {
-        if (!need_value(i, "--threads", value)) return false;
-        options.udp.shards = std::stoul(value);
-      } else if (flag == "--loss") {
-        if (!need_value(i, "--loss", value)) return false;
-        config.ucast_loss = std::stod(value);
-      } else if (flag == "--chaos") {
-        if (!need_value(i, "--chaos", value)) return false;
-        std::ifstream in(value);
-        if (!in) {
-          std::cerr << "--chaos: cannot read " << value << "\n";
-          return false;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        config.chaos_spec = text.str();
-      } else if (flag == "--chaos-spec") {
-        if (!need_value(i, "--chaos-spec", value)) return false;
-        config.chaos_spec = value;
-      } else if (flag == "--round-us") {
-        if (!need_value(i, "--round-us", value)) return false;
-        config.gossip.round_duration =
-            SimTime::micros(static_cast<SimTime::underlying>(
-                std::stoll(value)));
-      } else if (flag == "--deadline-factor") {
-        if (!need_value(i, "--deadline-factor", value)) return false;
-        options.udp.deadline_factor = std::stod(value);
-      } else if (flag == "--instances") {
-        if (!need_value(i, "--instances", value)) return false;
-        options.instances = std::stoul(value);
-      } else if (flag == "--epoch-interval-us") {
-        if (!need_value(i, "--epoch-interval-us", value)) return false;
-        options.epoch_interval = SimTime::micros(
-            static_cast<SimTime::underlying>(std::stoll(value)));
-      } else if (flag == "--in-flight") {
-        if (!need_value(i, "--in-flight", value)) return false;
-        options.in_flight = std::stoul(value);
-      } else if (flag == "--telemetry-out") {
-        if (!need_value(i, "--telemetry-out", value)) return false;
-        config.telemetry.out_path = value;
-        config.telemetry.enabled = true;
-      } else if (flag == "--telemetry-interval-us") {
-        if (!need_value(i, "--telemetry-interval-us", value)) return false;
-        config.telemetry.interval = SimTime::micros(
-            static_cast<SimTime::underlying>(std::stoll(value)));
-        config.telemetry.enabled = true;
-      } else if (flag == "--telemetry-port") {
-        if (!need_value(i, "--telemetry-port", value)) return false;
-        config.telemetry.udp_port =
-            static_cast<std::uint16_t>(std::stoul(value));
-        config.telemetry.enabled = true;
-      } else if (flag == "--differential") {
-        options.differential = true;
-      } else if (flag == "--report-dir") {
-        if (!need_value(i, "--report-dir", value)) return false;
-        options.report_dir = value;
-      } else {
-        std::cerr << "unknown flag: " << flag << " (see --help)\n";
+    if (flag == "--help") {
+      help = true;
+      return true;
+    } else if (flag == "--n") {
+      if (!uint_value(i, "--n", &config.group_size)) return false;
+    } else if (flag == "--protocol") {
+      if (!need_value(i, "--protocol", value)) return false;
+      static const std::map<std::string, runner::ProtocolKind> kNames = {
+          {"hier-gossip", runner::ProtocolKind::kHierGossip},
+          {"all-to-all", runner::ProtocolKind::kFullyDistributed},
+          {"centralized", runner::ProtocolKind::kCentralized},
+          {"leader", runner::ProtocolKind::kLeaderElection},
+          {"committee", runner::ProtocolKind::kCommittee},
+      };
+      const auto it = kNames.find(value);
+      if (it == kNames.end()) {
+        std::cerr << "--protocol: unknown: " << value << "\n";
         return false;
       }
-    } catch (const std::exception&) {
-      std::cerr << flag << ": bad value: " << value << "\n";
+      config.protocol = it->second;
+    } else if (flag == "--seed") {
+      if (!uint_value(i, "--seed", &config.seed)) return false;
+    } else if (flag == "--aggregate") {
+      if (!need_value(i, "--aggregate", value)) return false;
+      static const std::map<std::string, agg::AggregateKind> kNames = {
+          {"average", agg::AggregateKind::kAverage},
+          {"sum", agg::AggregateKind::kSum},
+          {"min", agg::AggregateKind::kMin},
+          {"max", agg::AggregateKind::kMax},
+          {"count", agg::AggregateKind::kCount},
+          {"range", agg::AggregateKind::kRange},
+      };
+      const auto it = kNames.find(value);
+      if (it == kNames.end()) {
+        std::cerr << "--aggregate: unknown: " << value << "\n";
+        return false;
+      }
+      config.aggregate = it->second;
+    } else if (flag == "--port-base") {
+      if (!uint_value(i, "--port-base", &options.udp.port_base)) return false;
+    } else if (flag == "--threads") {
+      if (!uint_value(i, "--threads", &options.udp.shards)) return false;
+    } else if (flag == "--loss") {
+      if (!double_value(i, "--loss", &config.ucast_loss)) return false;
+    } else if (flag == "--chaos") {
+      if (!need_value(i, "--chaos", value)) return false;
+      std::ifstream in(value);
+      if (!in) {
+        std::cerr << "--chaos: cannot read " << value << "\n";
+        return false;
+      }
+      std::ostringstream text;
+      text << in.rdbuf();
+      config.chaos_spec = text.str();
+    } else if (flag == "--chaos-spec") {
+      if (!need_value(i, "--chaos-spec", value)) return false;
+      config.chaos_spec = value;
+    } else if (flag == "--round-us") {
+      if (!uint_value(i, "--round-us", &us)) return false;
+      config.gossip.round_duration = SimTime::micros(us);
+    } else if (flag == "--deadline-factor") {
+      if (!double_value(i, "--deadline-factor",
+                        &options.udp.deadline_factor)) {
+        return false;
+      }
+    } else if (flag == "--instances") {
+      if (!uint_value(i, "--instances", &options.instances)) return false;
+    } else if (flag == "--epoch-interval-us") {
+      if (!uint_value(i, "--epoch-interval-us", &us)) return false;
+      options.epoch_interval = SimTime::micros(us);
+    } else if (flag == "--in-flight") {
+      if (!uint_value(i, "--in-flight", &options.in_flight)) return false;
+    } else if (flag == "--telemetry-out") {
+      if (!need_value(i, "--telemetry-out", value)) return false;
+      config.telemetry.out_path = value;
+      config.telemetry.enabled = true;
+    } else if (flag == "--telemetry-interval-us") {
+      if (!uint_value(i, "--telemetry-interval-us", &us)) return false;
+      config.telemetry.interval = SimTime::micros(us);
+      config.telemetry.enabled = true;
+    } else if (flag == "--telemetry-port") {
+      if (!uint_value(i, "--telemetry-port", &config.telemetry.udp_port)) {
+        return false;
+      }
+      config.telemetry.enabled = true;
+    } else if (flag == "--differential") {
+      options.differential = true;
+    } else if (flag == "--report-dir") {
+      if (!need_value(i, "--report-dir", value)) return false;
+      options.report_dir = value;
+    } else {
+      std::cerr << "unknown flag: " << flag << " (see --help)\n";
       return false;
     }
   }
