@@ -38,17 +38,23 @@ void SimNetwork::set_distance(
 
 void SimNetwork::install_chaos(std::unique_ptr<ChaosSchedule> chaos) {
   expects(chaos != nullptr, "chaos schedule required");
-  expects(stats_.messages_sent == 0, "install chaos before any send");
+  expects(traffic_.sent.load(std::memory_order_relaxed) == 0,
+          "install chaos before any send");
   chaos_ = std::move(chaos);
   chaos_->bind_clock([this]() { return simulator_.now(); });
 }
 
+NetworkStats SimNetwork::stats() const {
+  NetworkStats out = fold(&traffic_, 1);
+  out.link_distance_sum = link_distance_sum_;
+  return out;
+}
+
 void SimNetwork::send(Message message) {
-  ++stats_.messages_sent;
-  stats_.bytes_sent += message.frame.size();
+  bump(traffic_.sent);
+  bump(traffic_.bytes_sent, message.frame.size());
   if (distance_) {
-    stats_.link_distance_sum +=
-        distance_(message.source, message.destination);
+    link_distance_sum_ += distance_(message.source, message.destination);
   }
   if (observer_ != nullptr) observer_->on_send(message, simulator_.now());
   // The drop decision happens before the latency draw, so a dropped message
@@ -61,14 +67,14 @@ void SimNetwork::send(Message message) {
     ChaosDecision decision =
         chaos_->on_send(message.source, message.destination);
     if (decision.drop) {
-      ++stats_.messages_dropped;
+      bump(traffic_.dropped);
       if (observer_ != nullptr) observer_->on_drop(message, simulator_.now());
       return;
     }
     extra = decision.extra_delay;
     duplicates = std::move(decision.duplicate_delays);
   } else if (faults_->drops(message.source, message.destination, rng_)) {
-    ++stats_.messages_dropped;
+    bump(traffic_.dropped);
     if (observer_ != nullptr) observer_->on_drop(message, simulator_.now());
     return;
   }
@@ -80,9 +86,9 @@ void SimNetwork::send(Message message) {
   // duplicates reuse the frame already built — no re-encode, no deep copy.
   simulator_.schedule_frame_after(delay, message, *this);
   for (const SimTime offset : duplicates) {
-    ++stats_.messages_duplicated;
+    bump(traffic_.duplicated);
     // A duplicate traverses the wire too: count its bytes exactly once.
-    stats_.bytes_sent += message.frame.size();
+    bump(traffic_.bytes_sent, message.frame.size());
     if (observer_ != nullptr) {
       observer_->on_duplicate(message, simulator_.now());
     }
@@ -96,13 +102,13 @@ void SimNetwork::deliver_frame(const Message& message) {
                            : nullptr;
   const bool alive = !is_alive_ || is_alive_(message.destination);
   if (endpoint == nullptr || !alive) {
-    ++stats_.messages_dead_dest;
+    bump(traffic_.dead_dest);
     if (observer_ != nullptr) {
       observer_->on_dead_destination(message, simulator_.now());
     }
     return;
   }
-  ++stats_.messages_delivered;
+  bump(traffic_.delivered);
   if (observer_ != nullptr) observer_->on_deliver(message, simulator_.now());
   try {
     endpoint->on_message(message);
@@ -110,7 +116,7 @@ void SimNetwork::deliver_frame(const Message& message) {
     // A corrupt or truncated payload must never take a node down: decoding
     // failures surface as PreconditionError (ByteReader, Partial checks);
     // the message is counted and dropped, the node keeps running.
-    ++stats_.messages_malformed;
+    bump(traffic_.malformed);
     if (observer_ != nullptr) {
       observer_->on_malformed(message, simulator_.now());
     }

@@ -75,8 +75,11 @@ class SimNetwork final : public Transport, public sim::FrameSink {
   /// attached and alive. Self-sends are delivered like any other message.
   void send(Message message) override;
 
-  [[nodiscard]] const NetworkStats& stats() const override { return stats_; }
-  void reset_stats() { stats_.reset(); }
+  /// The lane folded into a view, plus the link-distance sum.
+  [[nodiscard]] NetworkStats stats() const override;
+
+  /// The network's one traffic lane (the simulator is one shard).
+  [[nodiscard]] const TrafficLane& traffic() const { return traffic_; }
 
   [[nodiscard]] sim::Simulator& simulator() { return simulator_; }
 
@@ -96,7 +99,8 @@ class SimNetwork final : public Transport, public sim::FrameSink {
   std::vector<Endpoint*> endpoints_;
   std::function<bool(MemberId)> is_alive_;
   std::function<double(MemberId, MemberId)> distance_;
-  NetworkStats stats_;
+  TrafficLane traffic_;
+  double link_distance_sum_ = 0.0;
   NetworkObserver* observer_ = nullptr;
 };
 

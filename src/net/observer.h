@@ -2,10 +2,11 @@
 //
 // A NetworkObserver receives one callback per transport decision, in the
 // exact deterministic order the network makes them: accept (on_send), drop,
-// duplicate scheduling, and the three delivery outcomes. The hooks mirror
-// NetworkStats counters one-to-one, so an observer that counts events must
-// reconcile exactly with net::stats at the end of a run — the obs subsystem
-// tests that invariant to keep the two accounting paths from drifting.
+// duplicate scheduling, and the three delivery outcomes. Each hook fires
+// at the site that bumps the matching TrafficLane counter (net/stats.h),
+// and carries the message for observers that need more than a count: trace
+// lines, the flight recorder, per-phase attribution. Totals are read from
+// the lane's NetworkStats view; an observer never keeps a second count.
 //
 // The default implementation is all no-ops; a detached network pays one
 // null-pointer test per event.

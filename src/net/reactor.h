@@ -131,14 +131,20 @@ class Reactor final : public sim::Scheduler {
   using ClockFn = std::function<SimTime()>;
   void set_clock_fn(ClockFn fn) { clock_fn_ = std::move(fn); }
 
-  /// Arms live telemetry into `lane` (nullptr disarms). Set before the
-  /// loop starts; when null the hooks cost one pointer test each.
-  void set_telemetry(obs::TelemetryLane* lane) { telemetry_ = lane; }
+  /// This shard's always-on loop-event lane, the only count of what it
+  /// records; the counters below are views of it. The shard's UdpTransport
+  /// records its drains and recv EINTRs here too.
+  [[nodiscard]] obs::TelemetryLane& telemetry() { return telemetry_; }
+  [[nodiscard]] const obs::TelemetryLane& telemetry() const {
+    return telemetry_;
+  }
 
-  [[nodiscard]] std::uint64_t timers_fired() const { return timers_fired_; }
-  [[nodiscard]] std::uint64_t actions_run() const { return actions_run_; }
-  [[nodiscard]] std::uint64_t polls() const { return polls_; }
-  [[nodiscard]] std::uint64_t eintr_retries() const { return eintr_retries_; }
+  [[nodiscard]] std::uint64_t timers_fired() const {
+    return telemetry_.timers_fired.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t eintr_retries() const {
+    return telemetry_.eintr_retries.load(std::memory_order_relaxed);
+  }
 
  private:
   /// One wheel entry: either a typed timer (target != null) or an action.
@@ -183,15 +189,11 @@ class Reactor final : public sim::Scheduler {
   std::vector<IoHandler*> handlers_;  ///< parallel to pollfds_
   PollFn poll_fn_;
   ClockFn clock_fn_;
-  obs::TelemetryLane* telemetry_ = nullptr;
 
   std::mutex post_mutex_;            ///< guards posted_ only
   std::vector<sim::Action> posted_;  ///< cross-thread inbox (post())
 
-  std::uint64_t timers_fired_ = 0;
-  std::uint64_t actions_run_ = 0;
-  std::uint64_t polls_ = 0;
-  std::uint64_t eintr_retries_ = 0;
+  obs::TelemetryLane telemetry_;
 };
 
 /// Runs each reactor's loop on its own thread until `done()` or the real

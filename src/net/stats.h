@@ -1,6 +1,11 @@
-// Counters describing what the simulated network actually did in a run.
+// Traffic accounting: each transport layer counts a frame once per hook
+// site, into the TrafficLane of the shard that decided its fate.
+// NetworkStats is the read-side view fold() builds from lanes, in shard
+// order. Leaf header, so net/, sim/ and obs/ can all include it.
 #pragma once
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 namespace gridbox::net {
@@ -20,7 +25,8 @@ struct NetworkStats {
 
   /// Sum of Euclidean link distances over all sends; meaningful only when a
   /// distance function is registered (topology ablation). Together with
-  /// messages_sent this gives mean hop distance per message.
+  /// messages_sent this gives mean hop distance per message. Kept by
+  /// SimNetwork beside its lane.
   double link_distance_sum = 0.0;
 
   [[nodiscard]] double delivery_rate() const {
@@ -29,8 +35,32 @@ struct NetworkStats {
                : static_cast<double>(messages_delivered) /
                      static_cast<double>(messages_sent);
   }
-
-  void reset() { *this = NetworkStats{}; }
 };
+
+/// One shard's traffic counters, in NetworkStats' schema, on one cache
+/// line. Single writer (the shard's thread), so an increment is bump(), not
+/// a locked read-modify-write; a fold on another thread mid-run is a valid
+/// snapshot, and exact after a join.
+struct alignas(64) TrafficLane {
+  std::atomic<std::uint64_t> sent{0};
+  std::atomic<std::uint64_t> bytes_sent{0};
+  std::atomic<std::uint64_t> dropped{0};
+  std::atomic<std::uint64_t> duplicated{0};
+  std::atomic<std::uint64_t> delivered{0};
+  std::atomic<std::uint64_t> dead_dest{0};
+  std::atomic<std::uint64_t> malformed{0};
+};
+static_assert(sizeof(TrafficLane) == 64, "a traffic lane is one cache line");
+
+/// Adds `n` to a counter that has a single writer (the calling thread).
+inline void bump(std::atomic<std::uint64_t>& counter, std::uint64_t n = 1) {
+  counter.store(counter.load(std::memory_order_relaxed) + n,
+                std::memory_order_relaxed);
+}
+
+/// Adds one lane into `into`: the only mapping from lane to view.
+void fold(NetworkStats& into, const TrafficLane& lane);
+/// `count` contiguous lanes folded in shard order.
+[[nodiscard]] NetworkStats fold(const TrafficLane* lanes, std::size_t count);
 
 }  // namespace gridbox::net

@@ -48,8 +48,9 @@ class Transport {
   /// and asynchronous. Self-sends are delivered like any other message.
   virtual void send(Message message) = 0;
 
-  /// What the transport actually did so far (sends, drops, deliveries...).
-  [[nodiscard]] virtual const NetworkStats& stats() const = 0;
+  /// What the transport actually did so far (sends, drops, deliveries...):
+  /// a view folded from the transport's traffic lanes.
+  [[nodiscard]] virtual NetworkStats stats() const = 0;
 };
 
 }  // namespace gridbox::net

@@ -86,7 +86,8 @@ void UdpTransport::set_liveness(std::function<bool(MemberId)> is_alive) {
 
 void UdpTransport::install_chaos(std::unique_ptr<ChaosSchedule> chaos) {
   expects(chaos != nullptr, "chaos schedule required");
-  expects(stats_.messages_sent == 0, "install chaos before any send");
+  expects(traffic_.sent.load(std::memory_order_relaxed) == 0,
+          "install chaos before any send");
   chaos_ = std::move(chaos);
   chaos_->bind_clock([this]() { return reactor_.now(); });
 }
@@ -120,27 +121,27 @@ void UdpTransport::transmit(const Message& message) {
     if (errno == EINTR) continue;
     // EAGAIN/ENOBUFS: the kernel's queues are full. That is network loss,
     // which is precisely what these protocols are designed to survive.
-    ++stats_.messages_dropped;
+    bump(traffic_.dropped);
     return;
   }
 }
 
 void UdpTransport::send(Message message) {
-  ++stats_.messages_sent;
-  stats_.bytes_sent += message.frame.size();
+  bump(traffic_.sent);
+  bump(traffic_.bytes_sent, message.frame.size());
   if (chaos_ != nullptr) {
     ChaosDecision decision =
         chaos_->on_send(message.source, message.destination);
     if (decision.drop) {
-      ++stats_.messages_dropped;
+      bump(traffic_.dropped);
       return;
     }
     if (decision.extra_delay > SimTime::zero() ||
         !decision.duplicate_delays.empty()) {
       const SimTime base = reactor_.now() + decision.extra_delay;
       for (const SimTime offset : decision.duplicate_delays) {
-        ++stats_.messages_duplicated;
-        stats_.bytes_sent += message.frame.size();
+        bump(traffic_.duplicated);
+        bump(traffic_.bytes_sent, message.frame.size());
         reactor_.schedule_at(base + offset,
                              [this, message]() { transmit(message); });
       }
@@ -162,6 +163,7 @@ void UdpTransport::on_readable(int fd) {
   // reads as > kMaxDatagramBytes and fails strict decoding instead of
   // being silently truncated into a plausible prefix.
   std::uint8_t buffer[kMaxDatagramBytes + 1];
+  obs::TelemetryLane& shard = reactor_.telemetry();
   std::size_t received = 0;
   for (std::size_t drained = 0; drained < options_.max_drain; ++drained) {
     const ssize_t n = hooks_.recv(fd, buffer, sizeof(buffer));
@@ -169,12 +171,12 @@ void UdpTransport::on_readable(int fd) {
       if (errno == EINTR) {
         // Interrupted before a datagram was read: retry, but bounded by
         // max_drain like every other iteration — never a spin.
-        ++recv_eintr_retries_;
+        bump(shard.eintr_retries);
         continue;
       }
       // EAGAIN/EWOULDBLOCK: drained (or the wakeup was spurious). Any
       // other errno on a datagram socket is also just "nothing to read".
-      if (telemetry_ != nullptr) telemetry_->drain_per_wake.observe(received);
+      shard.drain_per_wake.observe(received);
       return;
     }
     ++received;
@@ -185,30 +187,27 @@ void UdpTransport::on_readable(int fd) {
         (owner.is_valid() && message.destination != owner)) {
       // Byte soup, or a datagram mis-addressed to this port: count it and
       // keep the socket draining — never deliver, never crash.
-      ++stats_.messages_malformed;
+      bump(traffic_.malformed);
       continue;
     }
     const LocalMember* local = local_of(message.destination);
     const bool alive = !is_alive_ || is_alive_(message.destination);
     if (local == nullptr || local->endpoint == nullptr || !alive) {
-      ++stats_.messages_dead_dest;
+      bump(traffic_.dead_dest);
       continue;
     }
-    ++stats_.messages_delivered;
-    if (telemetry_ != nullptr) {
-      telemetry_->frames_delivered.fetch_add(1, std::memory_order_relaxed);
-    }
+    bump(traffic_.delivered);
     try {
       local->endpoint->on_message(message);
     } catch (const PreconditionError&) {
       // Well-framed datagram, undecodable payload: same contract as the
       // simulated network — count malformed, keep the node running.
-      ++stats_.messages_malformed;
+      bump(traffic_.malformed);
     }
   }
   // max_drain exhausted with the socket still hot: the reactor will wake
   // again immediately; the histogram records a full-bucket drain.
-  if (telemetry_ != nullptr) telemetry_->drain_per_wake.observe(received);
+  shard.drain_per_wake.observe(received);
 }
 
 int UdpTransport::fd_of(MemberId id) const {

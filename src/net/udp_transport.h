@@ -21,10 +21,12 @@
 // call on it (send from a protocol callback, on_readable from the
 // reactor, attach/detach during setup and teardown) happens on that
 // shard's thread — the shard-ownership model of DESIGN.md §14. The
-// transport itself takes no locks and holds no atomics; cross-shard
-// traffic goes through the kernel (a send lands in the *destination*
-// member's socket, drained by the destination's shard). Stats reads at
-// measurement time happen after the reactor threads have joined.
+// transport itself takes no locks; cross-shard traffic goes through the
+// kernel (a send lands in the *destination* member's socket, drained by
+// the destination's shard). It counts into the shard's lanes — traffic
+// into its own TrafficLane, drains and recv EINTRs into the reactor's
+// telemetry lane — which other threads may read at any time (the sampler)
+// and read exactly after the reactor threads have joined.
 #pragma once
 
 #include <netinet/in.h>
@@ -82,7 +84,12 @@ class UdpTransport final : public Transport, public IoHandler {
 
   void send(Message message) override;
 
-  [[nodiscard]] const NetworkStats& stats() const override { return stats_; }
+  [[nodiscard]] NetworkStats stats() const override {
+    return fold(&traffic_, 1);
+  }
+
+  /// This shard's traffic lane (single writer: the shard thread).
+  [[nodiscard]] const TrafficLane& traffic() const { return traffic_; }
 
   /// Liveness oracle consulted at delivery, mirroring SimNetwork: a
   /// datagram for a dead member counts dead-destination, not delivered.
@@ -95,12 +102,9 @@ class UdpTransport final : public Transport, public IoHandler {
 
   void set_hooks(Hooks hooks);
 
-  /// Arms live telemetry into the owning shard's lane (nullptr disarms) —
-  /// the same lane as the shard's reactor; shard-thread writes only.
-  void set_telemetry(obs::TelemetryLane* lane) { telemetry_ = lane; }
-
-  /// IoHandler: drains the readable socket; tolerates EINTR (retries) and
-  /// EAGAIN/spurious wakeups (returns) without spinning.
+  /// IoHandler: drains the readable socket; tolerates EINTR (retries,
+  /// counted on the reactor's lane) and EAGAIN/spurious wakeups (returns)
+  /// without spinning.
   void on_readable(int fd) override;
 
   /// Number of local members with an open socket.
@@ -109,11 +113,6 @@ class UdpTransport final : public Transport, public IoHandler {
   /// The attached member's socket fd, or -1. Lets mocked-reactor tests
   /// drive on_readable with the fd the real dispatch would pass.
   [[nodiscard]] int fd_of(MemberId id) const;
-
-  /// EINTR retries observed inside recv loops (test observability).
-  [[nodiscard]] std::uint64_t recv_eintr_retries() const {
-    return recv_eintr_retries_;
-  }
 
  private:
   struct LocalMember {
@@ -133,9 +132,7 @@ class UdpTransport final : public Transport, public IoHandler {
   std::vector<MemberId> fd_owner_;     ///< dense by fd (loopback fds are small)
   std::function<bool(MemberId)> is_alive_;
   std::unique_ptr<ChaosSchedule> chaos_;
-  NetworkStats stats_;
-  std::uint64_t recv_eintr_retries_ = 0;
-  obs::TelemetryLane* telemetry_ = nullptr;
+  TrafficLane traffic_;
 };
 
 }  // namespace gridbox::net

@@ -68,11 +68,12 @@ void RunObserver::flush(const net::NetworkStats& network) {
   }
   // A per-phase counter exists iff the phase sent something, matching the
   // lazy registration this replaced.
-  for (std::size_t phase = 0; phase < msgs_by_phase_.size(); ++phase) {
-    if (msgs_by_phase_[phase] == 0) continue;
+  for (std::size_t phase = 0; phase < timeline_.phases.size(); ++phase) {
+    const std::uint64_t sent = timeline_.phases[phase].msgs_sent;
+    if (sent == 0) continue;
     char name[40];
     std::snprintf(name, sizeof(name), "msgs_sent_by_phase.%02zu", phase);
-    m->counter(name).inc(msgs_by_phase_[phase]);
+    m->counter(name).inc(sent);
   }
 }
 
@@ -81,8 +82,6 @@ void RunObserver::on_send(const net::Message& message, SimTime t) {
       message.source.value() < member_phase_.size()
           ? member_phase_[message.source.value()]
           : 0;
-  if (phase >= msgs_by_phase_.size()) msgs_by_phase_.resize(phase + 1, 0);
-  msgs_by_phase_[phase] += 1;
   timeline_.at_phase(phase).msgs_sent += 1;
   if (options_.sink != nullptr) {
     options_.sink->message_event("send", t, message.source,

@@ -77,8 +77,9 @@ class RunObserver final : public net::NetworkObserver,
 
   /// Writes the run's tallies into the metrics registry (no-op without
   /// one). The message counters come from `network`, the run's own
-  /// NetworkStats, which counts every event the on_* hooks see; the
-  /// observer keeps no second copy. run_experiment calls this once, after
+  /// NetworkStats, which counts every event the on_* hooks see, and the
+  /// per-phase send counters from the timeline; the observer keeps no
+  /// second copy of either. run_experiment calls this once, after
   /// the simulator drains and before the registry is snapshotted; events
   /// observed later are lost.
   void flush(const net::NetworkStats& network);
@@ -108,7 +109,6 @@ class RunObserver final : public net::NetworkObserver,
   };
   Tally tally_;
   std::uint64_t fanout_counts_[kFanoutBuckets] = {};
-  std::vector<std::uint64_t> msgs_by_phase_;  ///< index = sender phase
 };
 
 }  // namespace gridbox::obs

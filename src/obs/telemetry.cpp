@@ -1,5 +1,7 @@
 #include "src/obs/telemetry.h"
 
+#include <utility>
+
 #include "src/common/ensure.h"
 #include "src/obs/json.h"
 
@@ -17,7 +19,7 @@ void write_lane(JsonWriter& w, const LaneSnapshot& lane) {
   w.begin_object();
   w.key("timers_fired").value(lane.timers_fired);
   w.key("actions_run").value(lane.actions_run);
-  w.key("frames").value(lane.frames_delivered);
+  w.key("frames").value(lane.frames);
   w.key("polls").value(lane.polls);
   w.key("wakes_io").value(lane.wakes_io);
   w.key("wakes_timeout").value(lane.wakes_timeout);
@@ -46,7 +48,7 @@ void add_hist(std::uint64_t (&out)[TelemetryHist::kBuckets],
 void LaneSnapshot::add(const LaneSnapshot& other) {
   timers_fired += other.timers_fired;
   actions_run += other.actions_run;
-  frames_delivered += other.frames_delivered;
+  frames += other.frames;
   polls += other.polls;
   wakes_io += other.wakes_io;
   wakes_timeout += other.wakes_timeout;
@@ -57,18 +59,24 @@ void LaneSnapshot::add(const LaneSnapshot& other) {
   add_hist(dispatch_per_tick, other.dispatch_per_tick);
 }
 
-TelemetryHub::TelemetryHub(std::size_t lanes)
-    : lanes_(std::make_unique<TelemetryLane[]>(lanes)), lane_count_(lanes) {
-  expects(lanes > 0, "TelemetryHub needs at least one lane");
+TelemetryHub::TelemetryHub(std::vector<ShardLanes> shards)
+    : shards_(std::move(shards)) {
+  expects(!shards_.empty(), "TelemetryHub needs at least one shard");
+  for (const ShardLanes& shard : shards_) {
+    expects(shard.loop != nullptr && shard.traffic != nullptr,
+            "every telemetry shard needs a loop lane and a traffic lane");
+  }
 }
 
 LaneSnapshot TelemetryHub::snapshot_lane(std::size_t i) const {
-  expects(i < lane_count_, "telemetry lane index out of range");
-  const TelemetryLane& lane = lanes_[i];
+  expects(i < shards_.size(), "telemetry lane index out of range");
+  const TelemetryLane& lane = *shards_[i].loop;
+  net::NetworkStats traffic;
+  net::fold(traffic, *shards_[i].traffic);
   LaneSnapshot snap;
   snap.timers_fired = lane.timers_fired.load(std::memory_order_relaxed);
   snap.actions_run = lane.actions_run.load(std::memory_order_relaxed);
-  snap.frames_delivered = lane.frames_delivered.load(std::memory_order_relaxed);
+  snap.frames = traffic.messages_delivered + traffic.messages_dead_dest;
   snap.polls = lane.polls.load(std::memory_order_relaxed);
   snap.wakes_io = lane.wakes_io.load(std::memory_order_relaxed);
   snap.wakes_timeout = lane.wakes_timeout.load(std::memory_order_relaxed);
@@ -82,7 +90,7 @@ LaneSnapshot TelemetryHub::snapshot_lane(std::size_t i) const {
 
 LaneSnapshot TelemetryHub::snapshot_total() const {
   LaneSnapshot total;
-  for (std::size_t i = 0; i < lane_count_; ++i) {
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
     total.add(snapshot_lane(i));
   }
   return total;
@@ -94,10 +102,10 @@ std::string TelemetryHub::sample_json(std::uint64_t seq, SimTime now) const {
   w.key("schema").value(kSchema);
   w.key("seq").value(seq);
   w.key("t_us").value(static_cast<std::int64_t>(now.ticks()));
-  w.key("lanes").value(static_cast<std::uint64_t>(lane_count_));
+  w.key("lanes").value(static_cast<std::uint64_t>(shards_.size()));
   w.key("shards").begin_array();
   LaneSnapshot total;
-  for (std::size_t i = 0; i < lane_count_; ++i) {
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
     const LaneSnapshot snap = snapshot_lane(i);
     write_lane(w, snap);
     total.add(snap);
@@ -125,7 +133,8 @@ std::string TelemetryHub::sample_json(std::uint64_t seq, SimTime now) const {
   return w.take();
 }
 
-TelemetrySampler::TelemetrySampler(TelemetryHub& hub, TelemetryConfig config)
+TelemetrySampler::TelemetrySampler(const TelemetryHub& hub,
+                                   TelemetryConfig config)
     : hub_(hub), config_(std::move(config)) {
   expects(config_.interval > SimTime::zero(),
           "telemetry interval must be positive");

@@ -4,25 +4,24 @@
 // The post-mortem observability stack (metrics, lineage, curves, flight
 // recorder) answers "what happened" after measure_run; this layer answers
 // "what is the run doing right now". Each reactor shard (or the simulator)
-// owns one cache-line-aligned TelemetryLane of relaxed-atomic counters and
-// fixed-bucket log2 histograms — the same single-writer, no-lock discipline
-// as the mux stat lanes (DESIGN.md §14) — recording timer-fire lateness,
-// poll wake causes, datagrams drained per wake, cross-thread post queue
-// depth, and dispatch work per wheel tick. The service engine adds a
-// control-thread-only section: epoch launch→complete latency and
-// window-occupancy/deferral gauges.
+// owns one cache-line-aligned TelemetryLane of single-writer counters and
+// fixed-bucket log2 histograms (DESIGN.md §14) — timer fires and their
+// lateness, actions, polls and wake causes, EINTR retries, datagrams
+// drained per wake, cross-thread post queue depth, and dispatch work per
+// wheel tick. The service engine adds a control-thread-only section: epoch
+// launch→complete latency and window-occupancy/deferral gauges.
 //
-// Zero cost when off: every instrumented site holds a nullable
-// TelemetryLane* and pays one pointer test per event when telemetry is not
-// armed. When armed, the steady-state record path is a relaxed fetch_add
-// into preallocated fixed arrays — no locks, no heap (the zero-alloc suite
-// pins that claim).
+// Always on: the lane is a member of the reactor or simulator and the only
+// count of those loop events. Each hook writes once, a relaxed load and
+// store into fixed arrays: no locks, no pointer tests, no heap (the
+// zero-alloc suite pins that). TelemetryConfig::enabled only arms the
+// sampler.
 //
-// A TelemetrySampler on the control thread snapshots every lane on a fixed
-// interval into one "gridbox-telemetry/1" JSONL record: integer-only,
-// lanes merged in shard order, so on the simulator substrate the whole
-// series is a byte-deterministic function of (config, seed). Leaf header:
-// depends on common/types.h and the standard library only, so net/ and
+// A TelemetrySampler on the control thread snapshots every shard on a
+// fixed interval into one "gridbox-telemetry/1" JSONL record: integer-only,
+// shards merged in shard order, so on the simulator substrate the whole
+// series is a byte-deterministic function of (config, seed). Leaf header
+// (common/types.h, net/stats.h and the standard library only), so net/ and
 // sim/ can include it without a layering cycle.
 #pragma once
 
@@ -31,16 +30,17 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/types.h"
+#include "src/net/stats.h"
 
 namespace gridbox::obs {
 
 /// Fixed log2 histogram. Bucket 0 holds exact zeros; bucket b in [1, 14]
 /// holds values in [2^(b-1), 2^b); the last bucket absorbs everything
-/// larger. Observation is one relaxed fetch_add; merging is bucket-wise
+/// larger. Observation is one single-writer bump; merging is bucket-wise
 /// addition, so per-shard histograms fold deterministically in shard order.
 struct TelemetryHist {
   static constexpr std::size_t kBuckets = 16;
@@ -51,9 +51,7 @@ struct TelemetryHist {
     return std::min<std::size_t>(kBuckets - 1, std::bit_width(value));
   }
 
-  void observe(std::uint64_t value) {
-    buckets[bucket_of(value)].fetch_add(1, std::memory_order_relaxed);
-  }
+  void observe(std::uint64_t value) { net::bump(buckets[bucket_of(value)]); }
 
   [[nodiscard]] std::uint64_t total() const {
     std::uint64_t sum = 0;
@@ -62,19 +60,18 @@ struct TelemetryHist {
   }
 };
 
-/// One shard's live health counters. Single writer — the owning shard
-/// thread — except note_post_depth, which post()ing threads race through a
-/// relaxed fetch-max. Readers (the control-thread sampler) see a valid,
+/// One shard's loop-event counters. Single writer — the owning shard
+/// thread — except note_queue_depth, which post()ing threads race through
+/// a relaxed fetch-max. Readers (the control-thread sampler) see a valid,
 /// possibly slightly torn snapshot: each counter is individually atomic,
 /// and per-sample deltas over a torn snapshot still bound the truth.
 struct alignas(64) TelemetryLane {
   std::atomic<std::uint64_t> timers_fired{0};
   std::atomic<std::uint64_t> actions_run{0};
-  /// Datagrams delivered (reactor shards) / frames delivered (simulator).
-  std::atomic<std::uint64_t> frames_delivered{0};
   std::atomic<std::uint64_t> polls{0};
   std::atomic<std::uint64_t> wakes_io{0};      ///< poll returned readable fds
   std::atomic<std::uint64_t> wakes_timeout{0}; ///< quantum elapsed / spurious
+  /// Interrupted poll(2) calls, plus the shard transport's recv(2) ones.
   std::atomic<std::uint64_t> eintr_retries{0};
   /// High-water of the cross-thread post() inbox (reactor) or of the
   /// pending event queue (simulator).
@@ -88,7 +85,7 @@ struct alignas(64) TelemetryLane {
   TelemetryHist dispatch_per_tick;
 
   void note_timer_fired(std::uint64_t lateness_us) {
-    timers_fired.fetch_add(1, std::memory_order_relaxed);
+    net::bump(timers_fired);
     timer_lateness_us.observe(lateness_us);
   }
 
@@ -123,12 +120,14 @@ struct ServiceTelemetry {
   }
 };
 
-/// Plain (non-atomic) copy of one lane, and the fold unit for the
+/// Plain (non-atomic) copy of one shard, and the fold unit for the
 /// shard-ordered total.
 struct LaneSnapshot {
   std::uint64_t timers_fired = 0;
   std::uint64_t actions_run = 0;
-  std::uint64_t frames_delivered = 0;
+  /// Frames that reached a member's port: the shard's traffic view
+  /// delivered + dead_dest, on both substrates.
+  std::uint64_t frames = 0;
   std::uint64_t polls = 0;
   std::uint64_t wakes_io = 0;
   std::uint64_t wakes_timeout = 0;
@@ -142,19 +141,25 @@ struct LaneSnapshot {
   void add(const LaneSnapshot& other);
 };
 
-/// Owns the per-shard lanes plus the service section, and renders the
-/// merged JSONL record. Lane count is fixed at construction (one per
-/// reactor shard; 1 on the simulator substrate).
+/// One shard as the hub reads it: its reactor's (or the simulator's) loop
+/// lane and its transport's traffic lane. Both must outlive the hub.
+struct ShardLanes {
+  const TelemetryLane* loop = nullptr;
+  const net::TrafficLane* traffic = nullptr;
+};
+
+/// A read-side view over every shard's lanes, plus the service section;
+/// renders the merged JSONL record. Shard count is fixed at construction
+/// (one per reactor shard; 1 on the simulator substrate).
 class TelemetryHub {
  public:
   static constexpr const char* kSchema = "gridbox-telemetry/1";
 
-  explicit TelemetryHub(std::size_t lanes);
+  explicit TelemetryHub(std::vector<ShardLanes> shards);
   TelemetryHub(const TelemetryHub&) = delete;
   TelemetryHub& operator=(const TelemetryHub&) = delete;
 
-  [[nodiscard]] std::size_t lane_count() const { return lane_count_; }
-  [[nodiscard]] TelemetryLane& lane(std::size_t i) { return lanes_[i]; }
+  [[nodiscard]] std::size_t lane_count() const { return shards_.size(); }
 
   /// Arms the service section (streamed-epoch runtimes); one-shot runs
   /// leave it off and the record omits "service".
@@ -163,17 +168,16 @@ class TelemetryHub {
   [[nodiscard]] ServiceTelemetry& service() { return service_; }
 
   [[nodiscard]] LaneSnapshot snapshot_lane(std::size_t i) const;
-  /// All lanes folded in shard order (the deterministic merge).
+  /// All shards folded in shard order (the deterministic merge).
   [[nodiscard]] LaneSnapshot snapshot_total() const;
 
   /// One "gridbox-telemetry/1" record (no trailing newline): integer-only,
-  /// per-lane objects in shard order, the shard-ordered total, and the
+  /// per-shard objects in shard order, the shard-ordered total, and the
   /// service section when armed.
   [[nodiscard]] std::string sample_json(std::uint64_t seq, SimTime now) const;
 
  private:
-  std::unique_ptr<TelemetryLane[]> lanes_;
-  std::size_t lane_count_ = 0;
+  std::vector<ShardLanes> shards_;
   ServiceTelemetry service_;
   bool service_enabled_ = false;
 };
@@ -183,6 +187,7 @@ class TelemetryHub {
 /// Execution-side instrumentation: excluded from config_canonical_text,
 /// never affects what a run computes.
 struct TelemetryConfig {
+  /// Arms the sampler. The lanes themselves are always on.
   bool enabled = false;
   /// Sampling cadence on the substrate's own clock (virtual µs on the
   /// simulator, wall µs on the reactors).
@@ -202,7 +207,7 @@ struct TelemetryConfig {
 /// mid-run; the joining thread for the final sample).
 class TelemetrySampler {
  public:
-  TelemetrySampler(TelemetryHub& hub, TelemetryConfig config);
+  TelemetrySampler(const TelemetryHub& hub, TelemetryConfig config);
   ~TelemetrySampler();
   TelemetrySampler(const TelemetrySampler&) = delete;
   TelemetrySampler& operator=(const TelemetrySampler&) = delete;
@@ -217,7 +222,7 @@ class TelemetrySampler {
   [[nodiscard]] std::uint64_t samples() const { return seq_; }
 
  private:
-  TelemetryHub& hub_;
+  const TelemetryHub& hub_;
   TelemetryConfig config_;
   std::FILE* file_ = nullptr;
   std::string latest_;

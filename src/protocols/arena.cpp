@@ -25,7 +25,6 @@ StateArena::StateArena(std::shared_ptr<const std::vector<MemberId>> members,
   phase_.assign(n, 0);
   round_.assign(n, 0);
   rounds_budget_.assign(n, 0);
-  messages_sent_.assign(n, 0);
 }
 
 StateArena StateArena::solo(MemberId self) {
@@ -50,7 +49,6 @@ void StateArena::recycle(
   std::fill(phase_.begin(), phase_.end(), 0);
   std::fill(round_.begin(), round_.end(), 0);
   std::fill(rounds_budget_.begin(), rounds_budget_.end(), 0);
-  std::fill(messages_sent_.begin(), messages_sent_.end(), 0);
   phase_order_.clear();
   build_phase_tables(hier);
 }

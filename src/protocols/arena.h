@@ -60,7 +60,7 @@ class StateArena {
   }
 
   // Core per-slot state (vote value, audit token, phase, round, timer
-  // budget, message counter). References stay valid for the arena's
+  // budget). Sends are counted by the transport's traffic lane. References stay valid for the arena's
   // lifetime — the arrays never reallocate after construction.
   [[nodiscard]] double& vote(std::size_t slot) { return vote_[slot]; }
   [[nodiscard]] double vote(std::size_t slot) const { return vote_[slot]; }
@@ -78,12 +78,6 @@ class StateArena {
   }
   [[nodiscard]] std::uint64_t& rounds_budget(std::size_t slot) {
     return rounds_budget_[slot];
-  }
-  [[nodiscard]] std::uint64_t& messages_sent(std::size_t slot) {
-    return messages_sent_[slot];
-  }
-  [[nodiscard]] std::uint64_t messages_sent(std::size_t slot) const {
-    return messages_sent_[slot];
   }
 
   /// Builds the per-phase segment tables (idempotent; requires a dense
@@ -160,7 +154,6 @@ class StateArena {
   std::vector<std::uint32_t> phase_;
   std::vector<std::uint64_t> round_;
   std::vector<std::uint64_t> rounds_budget_;
-  std::vector<std::uint64_t> messages_sent_;
   std::vector<PhaseTable> phase_order_;  // index = phase − 1
 };
 

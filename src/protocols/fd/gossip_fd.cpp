@@ -99,7 +99,6 @@ bool GossipFailureDetector::on_round() {
         w.u32(members_[i].value());
         w.u64(table_[i].heartbeat);
       }
-      ++messages_sent_;
       network_->send(net::Message{self_, members_[t], w.take()});
     }
   }

@@ -78,7 +78,6 @@ class GossipFailureDetector final : public net::Endpoint,
       MemberId member) const;
 
   [[nodiscard]] std::uint64_t rounds_executed() const { return round_; }
-  [[nodiscard]] std::uint64_t messages_sent() const { return messages_sent_; }
   [[nodiscard]] MemberId self() const { return self_; }
 
  private:
@@ -104,7 +103,6 @@ class GossipFailureDetector final : public net::Endpoint,
 
   bool running_ = false;
   std::uint64_t round_ = 0;
-  std::uint64_t messages_sent_ = 0;
   std::vector<Entry> table_;       // indexed by view order
   std::vector<MemberId> members_;  // view members (sorted)
   // Per-round sampling scratch, reused so steady-state rounds do not

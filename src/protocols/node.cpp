@@ -24,7 +24,6 @@ ProtocolNode::ProtocolNode(MemberId self, double vote, membership::View view,
 }
 
 void ProtocolNode::send_to(MemberId to, const net::Frame& frame) {
-  ++arena_->messages_sent(slot_);
   env_.network->send(net::Message{self_, to, frame});
 }
 

@@ -91,9 +91,6 @@ class ProtocolNode : public net::Endpoint, public sim::TimerTarget {
     return finished_.load(std::memory_order_acquire);
   }
 
-  [[nodiscard]] std::uint64_t messages_sent() const {
-    return arena_->messages_sent(slot_);
-  }
   [[nodiscard]] std::uint64_t rounds_executed() const {
     return arena_->round(slot_);
   }

@@ -63,7 +63,6 @@ RunMeasurement measure_run(
   std::unordered_map<std::size_t, agg::Partial> exact_by_record;
 
   for (const auto& node : nodes) {
-    m.protocol_messages += node->messages_sent();
     m.max_rounds = std::max(m.max_rounds, node->rounds_executed());
     if (!group.is_alive(node->self())) continue;
     ++m.survivors;

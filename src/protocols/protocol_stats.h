@@ -34,7 +34,6 @@ struct RunMeasurement {
   double mean_abs_error = 0.0;
   double true_value = 0.0;
 
-  std::uint64_t protocol_messages = 0;  ///< sum of per-node send counts
   std::uint64_t network_messages = 0;   ///< accepted by the transport
   std::uint64_t max_rounds = 0;         ///< slowest node's round count
   SimTime last_finish = SimTime::zero();

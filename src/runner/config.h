@@ -116,9 +116,9 @@ struct ExperimentConfig {
   /// when a run throws InvariantError (see cli --flight-recorder).
   obs::FlightRecorder* flight = nullptr;
 
-  /// Live telemetry sampling (src/obs/telemetry.h): when enabled, the
-  /// runtime arms one TelemetryLane per shard (one lane on the simulator)
-  /// and a control-thread sampler streams gridbox-telemetry/1 JSONL on
+  /// Live telemetry sampling (src/obs/telemetry.h): when enabled, a
+  /// control-thread sampler reads every shard's always-on lanes (one shard
+  /// on the simulator) and streams gridbox-telemetry/1 JSONL on
   /// telemetry.interval. Execution-side instrumentation like the pointers
   /// above: excluded from config_canonical_text, never affects results.
   obs::TelemetryConfig telemetry;

@@ -333,14 +333,14 @@ RunResult run_experiment(const ExperimentConfig& config) {
         });
   }
 
-  // Live telemetry on the simulator substrate: one lane, sampled on the
+  // Live telemetry on the simulator substrate: one shard, sampled on the
   // virtual clock between run_until slices — the series is a pure function
   // of (config, seed), byte-identical at any host parallelism.
   std::unique_ptr<obs::TelemetryHub> tel_hub;
   std::unique_ptr<obs::TelemetrySampler> tel_sampler;
   if (config.telemetry.enabled) {
-    tel_hub = std::make_unique<obs::TelemetryHub>(1);
-    simulator.set_telemetry(&tel_hub->lane(0));
+    tel_hub = std::make_unique<obs::TelemetryHub>(std::vector<obs::ShardLanes>{
+        {&simulator.telemetry(), &network.traffic()}});
     tel_sampler =
         std::make_unique<obs::TelemetrySampler>(*tel_hub, config.telemetry);
   }
@@ -366,16 +366,16 @@ RunResult run_experiment(const ExperimentConfig& config) {
   }
 
   RunResult result;
+  result.network = network.stats();
   result.measurement = protocols::measure_run(group, nodes, votes,
                                               config.aggregate,
-                                              network.stats(), audit.get());
-  result.network = network.stats();
+                                              result.network, audit.get());
   result.sim_events = executed;
   result.sim_end_us = simulator.now().ticks();
   if (metrics != nullptr) {
     // The observer tallies hot-path events locally; fold them and the
     // network's message counters into the registry before anything reads it.
-    observer->flush(network.stats());
+    observer->flush(result.network);
     // Whole-run facts that have no natural event: queue pressure, executed
     // events, and end-of-run completeness in basis points (integral, so the
     // merged sweep maximum stays bitwise-deterministic).
@@ -391,10 +391,10 @@ RunResult run_experiment(const ExperimentConfig& config) {
   // trackers cannot dangle.
   if (config.lineage != nullptr) config.lineage->set_clock(nullptr);
   if (config.curves != nullptr) config.curves->set_clock(nullptr);
-  if (group.has_positions() && network.stats().messages_sent > 0) {
+  if (group.has_positions() && result.network.messages_sent > 0) {
     result.mean_link_distance =
-        network.stats().link_distance_sum /
-        static_cast<double>(network.stats().messages_sent);
+        result.network.link_distance_sum /
+        static_cast<double>(result.network.messages_sent);
   }
   if (config.protocol == ProtocolKind::kHierGossip) {
     result.effective_b = analysis::effective_b(

@@ -57,20 +57,6 @@ class CompletionBoard {
   std::atomic<std::size_t> remaining_;
 };
 
-/// Self-stopping periodic telemetry tick on shard 0 (same pattern as the
-/// service runtime): samples on the reactor clock, stops rescheduling when
-/// the run resolves.
-struct SamplerTick final : sim::TimerTarget {
-  obs::TelemetrySampler* sampler = nullptr;
-  net::Reactor* clock = nullptr;
-  std::function<bool()> keep_going;
-
-  bool on_timer(std::uint32_t /*timer_id*/) override {
-    sampler->sample(clock->now());
-    return keep_going();
-  }
-};
-
 }  // namespace
 
 std::uint64_t raise_fd_limit(std::uint64_t need) {
@@ -277,12 +263,15 @@ UdpRunResult run_udp_experiment(const UdpRunConfig& udp_config) {
     auto round = std::make_shared<std::uint64_t>(0);
     auto tick = std::make_shared<std::function<void()>>();
     net::Reactor& r0 = *reactors[0];
-    *tick = [&group, &nodes, &crash_model, &r0, crash_rng, round, tick,
+    // Only the pending wheel entry owns the tick: a strong self-capture
+    // would be a cycle that outlives the run.
+    *tick = [&group, &nodes, &crash_model, &r0, crash_rng, round,
+             self = std::weak_ptr<std::function<void()>>(tick),
              interval = config.round_duration()]() {
       (void)group.apply_round_crashes(crash_model, (*round)++, *crash_rng);
       for (const auto& node : nodes) {
         if (!node->finished() && group.is_alive(node->self())) {
-          r0.schedule_after(interval, [tick]() { (*tick)(); });
+          r0.schedule_after(interval, [next = self.lock()]() { (*next)(); });
           return;
         }
       }
@@ -290,20 +279,21 @@ UdpRunResult run_udp_experiment(const UdpRunConfig& udp_config) {
     r0.schedule_after(config.round_duration(), [tick]() { (*tick)(); });
   }
 
-  // Live telemetry: one lane per shard; sampler + optional stats socket on
-  // shard 0 (scheduling is still single-threaded here, before the loops).
-  std::unique_ptr<obs::TelemetryHub> tel_hub;
+  // Every shard's lanes — its reactor's loop lane beside its transport's
+  // traffic lane — as live telemetry and the result both read them. The
+  // sampler and optional stats socket run on shard 0 (scheduling is still
+  // single-threaded here, before the loops).
+  std::vector<obs::ShardLanes> shard_lanes;
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    shard_lanes.push_back({&reactors[s]->telemetry(), &transports[s]->traffic()});
+  }
+  const obs::TelemetryHub tel_hub(std::move(shard_lanes));
   std::unique_ptr<obs::TelemetrySampler> tel_sampler;
   std::unique_ptr<net::TelemetrySocket> tel_socket;
   SamplerTick sampler_tick;
   if (config.telemetry.enabled) {
-    tel_hub = std::make_unique<obs::TelemetryHub>(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      reactors[s]->set_telemetry(&tel_hub->lane(s));
-      transports[s]->set_telemetry(&tel_hub->lane(s));
-    }
     tel_sampler =
-        std::make_unique<obs::TelemetrySampler>(*tel_hub, config.telemetry);
+        std::make_unique<obs::TelemetrySampler>(tel_hub, config.telemetry);
     sampler_tick.sampler = tel_sampler.get();
     sampler_tick.clock = reactors[0].get();
     sampler_tick.keep_going = [&board]() { return !board.done(); };
@@ -342,30 +332,19 @@ UdpRunResult run_udp_experiment(const UdpRunConfig& udp_config) {
     }
   }
 
-  // Fold per-shard tallies in shard order (deterministic, same trick as
-  // the sweep reducer): transport stats then reactor counters.
-  net::NetworkStats total;
+  // Fold the shards' lanes in shard order (deterministic, same trick as
+  // the sweep reducer): traffic lanes, then loop lanes.
   for (const auto& transport : transports) {
-    const net::NetworkStats& s = transport->stats();
-    total.messages_sent += s.messages_sent;
-    total.messages_dropped += s.messages_dropped;
-    total.messages_dead_dest += s.messages_dead_dest;
-    total.messages_delivered += s.messages_delivered;
-    total.messages_malformed += s.messages_malformed;
-    total.messages_duplicated += s.messages_duplicated;
-    total.bytes_sent += s.bytes_sent;
+    net::fold(result.network, transport->traffic());
   }
-  result.network = total;
   result.measurement = protocols::measure_run(group, nodes, votes,
-                                              config.aggregate, total,
+                                              config.aggregate, result.network,
                                               audit.get());
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    result.timers_fired += reactors[s]->timers_fired();
-    result.actions_run += reactors[s]->actions_run();
-    result.polls += reactors[s]->polls();
-    result.eintr_retries += reactors[s]->eintr_retries();
-    result.eintr_retries += transports[s]->recv_eintr_retries();
-  }
+  const obs::LaneSnapshot loop = tel_hub.snapshot_total();
+  result.timers_fired = loop.timers_fired;
+  result.actions_run = loop.actions_run;
+  result.polls = loop.polls;
+  result.eintr_retries = loop.eintr_retries;
   return result;
 }
 

@@ -25,9 +25,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
+#include "src/net/reactor.h"
 #include "src/net/stats.h"
+#include "src/obs/telemetry.h"
 #include "src/protocols/protocol_stats.h"
 #include "src/runner/config.h"
 
@@ -86,5 +89,19 @@ std::uint64_t raise_fd_limit(std::uint64_t need);
 /// message (needed fds vs soft/hard limit, plus the `ulimit -n` to run)
 /// when the run still cannot fit — instead of EMFILE deep in socket setup.
 void require_fd_capacity(std::uint64_t need);
+
+/// Self-stopping periodic telemetry tick for both UDP runtimes: samples on
+/// the control reactor's clock and stops rescheduling once `keep_going`
+/// turns false, so the wheel quiesces with the run.
+struct SamplerTick final : sim::TimerTarget {
+  obs::TelemetrySampler* sampler = nullptr;
+  net::Reactor* clock = nullptr;
+  std::function<bool()> keep_going;
+
+  bool on_timer(std::uint32_t /*timer_id*/) override {
+    sampler->sample(clock->now());
+    return keep_going();
+  }
+};
 
 }  // namespace gridbox::runner

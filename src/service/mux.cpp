@@ -7,11 +7,6 @@
 
 namespace gridbox::service {
 
-InstanceSender::InstanceSender(InstanceMux& mux, std::uint32_t instance)
-    : mux_(mux),
-      instance_(instance),
-      lanes_(std::make_unique<Lane[]>(mux.options_.shard_count)) {}
-
 void InstanceSender::attach(MemberId id, net::Endpoint& endpoint) {
   mux_.route(instance_, id, endpoint);
 }
@@ -22,21 +17,9 @@ void InstanceSender::send(net::Message message) {
   mux_.forward(*this, std::move(message));
 }
 
-const net::NetworkStats& InstanceSender::stats() const {
-  // Control-thread only: merges the shard lanes into the cached scratch.
-  // The counters are monotone; callers read them either after the owning
-  // instance stopped sending (complete/fail) or after the threads joined.
-  merged_ = net::NetworkStats{};
-  for (std::size_t s = 0; s < mux_.options_.shard_count; ++s) {
-    const Lane& lane = lanes_[s];
-    merged_.messages_sent += lane.messages_sent.load(std::memory_order_relaxed);
-    merged_.bytes_sent += lane.bytes_sent.load(std::memory_order_relaxed);
-    merged_.messages_delivered +=
-        lane.messages_delivered.load(std::memory_order_relaxed);
-    merged_.messages_dead_dest +=
-        lane.messages_dead_dest.load(std::memory_order_relaxed);
-  }
-  return merged_;
+net::NetworkStats InstanceSender::stats() const {
+  return net::fold(mux_.slots_[instance_].traffic.get(),
+                   mux_.options_.shard_count);
 }
 
 InstanceMux::InstanceMux(Options options) : options_(std::move(options)) {
@@ -81,10 +64,10 @@ std::unique_ptr<InstanceSender> InstanceMux::open_instance(std::uint32_t id) {
   Slot& slot = slots_[id];
   // Publication order: fill the slot, release-store its state, then
   // release-store next_id_. A demux that acquire-loads next_id_ > id
-  // therefore sees the slot open with routes and sender fully visible.
+  // therefore sees the slot open with routes and lanes fully visible.
   slot.routes = std::make_unique<std::atomic<net::Endpoint*>[]>(
       options_.group_size);  // value-initialized: all unrouted
-  slot.sender = sender.get();
+  slot.traffic = std::make_unique<net::TrafficLane[]>(options_.shard_count);
   slot.state.store(kOpen, std::memory_order_release);
   next_id_.store(id + 1, std::memory_order_release);
   return sender;
@@ -94,9 +77,9 @@ void InstanceMux::close_instance(std::uint32_t id) {
   expects(id < options_.max_instances &&
               slots_[id].state.load(std::memory_order_relaxed) == kOpen,
           "closing an instance that is not open");
-  // Retire-only: routes and sender stay in place so a demux racing this
+  // Retire-only: routes and lanes stay in place so a demux racing this
   // store on another shard still dereferences live memory. The engine's
-  // drain handshake orders every such demux before node/sender teardown.
+  // drain handshake orders every such demux before node teardown.
   slots_[id].state.store(kRetired, std::memory_order_release);
 }
 
@@ -126,38 +109,39 @@ void InstanceMux::forward(InstanceSender& sender, net::Message message) {
   if (!is_open(sender.instance())) {
     // A lingering node of a closed instance gossiping into the void — the
     // service's equivalent of a message to a crashed process.
-    lanes_[lane].closed_sends.fetch_add(1, std::memory_order_relaxed);
+    net::bump(lanes_[lane].closed_sends);
     return;
   }
   net::Message outer;
   outer.source = message.source;
   outer.destination = message.destination;
   outer.frame = envelope_wrap(sender.instance(), message.frame);
-  InstanceSender::Lane& slane = sender.lanes_[lane];
-  slane.messages_sent.fetch_add(1, std::memory_order_relaxed);
-  slane.bytes_sent.fetch_add(outer.frame.size(), std::memory_order_relaxed);
+  net::TrafficLane& traffic = slots_[sender.instance()].traffic[lane];
+  net::bump(traffic.sent);
+  net::bump(traffic.bytes_sent, outer.frame.size());
   options_.transport_of(outer.source)->send(std::move(outer));
 }
 
 void InstanceMux::demux(MemberId self, const net::Message& outer) {
   // Runs on self's owning shard; that shard's lanes take the counts.
-  Lane& lane = lanes_[lane_of(self)];
+  const std::size_t shard = lane_of(self);
+  Lane& lane = lanes_[shard];
   std::uint32_t instance = 0;
   net::Frame inner;
   const EnvelopeError error = envelope_unwrap(outer.frame, instance, inner);
   if (error != EnvelopeError::kOk) {
-    lane.malformed_envelope.fetch_add(1, std::memory_order_relaxed);
+    net::bump(lane.malformed_envelope);
     return;
   }
   // Acquire next_id_ BEFORE touching the slot: the open's release store of
-  // next_id_ is what publishes the slot's routes and sender.
+  // next_id_ is what publishes the slot's routes and lanes.
   if (instance >= next_id_.load(std::memory_order_acquire)) {
-    lane.unknown_instance.fetch_add(1, std::memory_order_relaxed);
+    net::bump(lane.unknown_instance);
     return;
   }
   Slot& slot = slots_[instance];
   if (slot.state.load(std::memory_order_acquire) != kOpen) {
-    lane.retired_instance.fetch_add(1, std::memory_order_relaxed);
+    net::bump(lane.retired_instance);
     return;
   }
   net::Endpoint* endpoint =
@@ -165,14 +149,10 @@ void InstanceMux::demux(MemberId self, const net::Message& outer) {
   if (endpoint == nullptr) {
     // The member is not a participant of this instance's epoch (it joined
     // after launch, or was down at launch): to the instance it is dead.
-    lane.unrouted_member.fetch_add(1, std::memory_order_relaxed);
-    slot.sender->lanes_[lane_of(self)].messages_dead_dest.fetch_add(
-        1, std::memory_order_relaxed);
+    net::bump(slot.traffic[shard].dead_dest);
     return;
   }
-  lane.delivered.fetch_add(1, std::memory_order_relaxed);
-  slot.sender->lanes_[lane_of(self)].messages_delivered.fetch_add(
-      1, std::memory_order_relaxed);
+  net::bump(slot.traffic[shard].delivered);
   net::Message message;
   message.source = outer.source;
   message.destination = outer.destination;
@@ -181,20 +161,28 @@ void InstanceMux::demux(MemberId self, const net::Message& outer) {
 }
 
 DemuxStats InstanceMux::stats() const {
-  // Merged deterministically in shard order; control thread or post-join.
+  // Folded in shard order; control thread or post-join.
   DemuxStats out;
   for (std::size_t s = 0; s < options_.shard_count; ++s) {
     const Lane& lane = lanes_[s];
-    out.delivered += lane.delivered.load(std::memory_order_relaxed);
     out.malformed_envelope +=
         lane.malformed_envelope.load(std::memory_order_relaxed);
     out.unknown_instance +=
         lane.unknown_instance.load(std::memory_order_relaxed);
     out.retired_instance +=
         lane.retired_instance.load(std::memory_order_relaxed);
-    out.unrouted_member += lane.unrouted_member.load(std::memory_order_relaxed);
     out.closed_sends += lane.closed_sends.load(std::memory_order_relaxed);
   }
+  // A routed frame is counted once, by its instance: fold them back.
+  net::NetworkStats routed;
+  const std::uint32_t opened = instances_opened();
+  for (std::uint32_t id = 0; id < opened; ++id) {
+    for (std::size_t s = 0; s < options_.shard_count; ++s) {
+      net::fold(routed, slots_[id].traffic[s]);
+    }
+  }
+  out.delivered = routed.messages_delivered;
+  out.unrouted_member = routed.messages_dead_dest;
   return out;
 }
 

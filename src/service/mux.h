@@ -12,7 +12,7 @@
 //   - Send side: each instance gets an InstanceSender — a net::Transport the
 //     instance's nodes hold as their env.network. It wraps every outgoing
 //     frame in the instance envelope and forwards it through the sending
-//     member's raw transport, keeping per-instance NetworkStats.
+//     member's raw transport, counting into the instance's traffic lanes.
 //
 // Instance ids are handed out monotonically. A frame addressed to an id
 // never opened is counted `unknown_instance`; one addressed to an id that
@@ -37,8 +37,9 @@
 //     engine's drain handshake (a count_timers hop through every shard)
 //     guarantees no demux that saw the slot open is still running when the
 //     instance's nodes and sender are destroyed.
-//   - Counters are per-shard lanes (cache-line sized, single-writer), merged
-//     in shard order by the control-plane stats() readers.
+//   - Counters are per-shard, single-writer lanes, each frame counted once:
+//     an instance's traffic in its slot's net::TrafficLanes, the mux's own
+//     drops in the mux lanes. stats() readers fold them.
 //
 // One honest caveat: a datagram can physically cross the kernel between two
 // shards faster than an unrelated atomic store propagates, so a shard may
@@ -64,7 +65,9 @@ namespace gridbox::service {
 
 class InstanceMux;
 
-/// Demultiplexer counters: what happened to envelope-bearing frames.
+/// Demultiplexer counters: what happened to envelope-bearing frames. A
+/// view: `delivered` and `unrouted_member` are the instances' delivered and
+/// dead-destination counts summed, the rest the mux's own lanes.
 struct DemuxStats {
   std::uint64_t delivered = 0;           ///< routed to a live instance endpoint
   std::uint64_t malformed_envelope = 0;  ///< failed strict envelope validation
@@ -82,37 +85,24 @@ struct DemuxStats {
 /// instance record, NOT by the mux — nodes keep their Transport* through
 /// the final-phase linger window after the instance closes, and a send in
 /// that window must land here (dropped and counted), not on a dangling
-/// pointer. Stats are kept in per-shard lanes (send side writes the sending
-/// member's lane, delivery side the receiving member's); stats() merges
-/// them in shard order and must only be called from the control thread.
+/// pointer. stats() folds the instance's traffic lanes (in its mux slot)
+/// in shard order: exact once its frames settled — after the engine's
+/// drain handshake, or after the reactor threads joined.
 class InstanceSender final : public net::Transport {
  public:
-  InstanceSender(InstanceMux& mux, std::uint32_t instance);
+  InstanceSender(InstanceMux& mux, std::uint32_t instance)
+      : mux_(mux), instance_(instance) {}
 
   void attach(MemberId id, net::Endpoint& endpoint) override;
   void detach(MemberId id) override;
   void send(net::Message message) override;
-  [[nodiscard]] const net::NetworkStats& stats() const override;
+  [[nodiscard]] net::NetworkStats stats() const override;
 
   [[nodiscard]] std::uint32_t instance() const { return instance_; }
 
  private:
-  friend class InstanceMux;  // delivery-side stat updates
-
-  /// One shard's share of the sender's traffic counters. Each lane has a
-  /// single writer (its shard thread); relaxed ops suffice, merges happen
-  /// after a stronger ordering point (the drain handshake or thread join).
-  struct alignas(64) Lane {
-    std::atomic<std::uint64_t> messages_sent{0};
-    std::atomic<std::uint64_t> bytes_sent{0};
-    std::atomic<std::uint64_t> messages_delivered{0};
-    std::atomic<std::uint64_t> messages_dead_dest{0};
-  };
-
   InstanceMux& mux_;
   std::uint32_t instance_ = 0;
-  std::unique_ptr<Lane[]> lanes_;             ///< one per shard
-  mutable net::NetworkStats merged_;          ///< stats() scratch (control thread)
 };
 
 class InstanceMux {
@@ -171,9 +161,10 @@ class InstanceMux {
     return next_id_.load(std::memory_order_acquire);
   }
 
-  /// Demux counters merged over the per-shard lanes, in shard order.
-  /// Control thread (or post-join) only: a mid-run merge on another thread
-  /// would be a valid but torn snapshot.
+  /// Demux counters folded over the per-shard lanes, in shard order, and
+  /// over every opened instance's traffic lanes. Control thread (or
+  /// post-join) only: a mid-run fold on another thread would be a valid
+  /// but torn snapshot.
   [[nodiscard]] DemuxStats stats() const;
 
  private:
@@ -182,24 +173,26 @@ class InstanceMux {
   /// Slot lifecycle. Monotone per slot: kUnopened -> kOpen -> kRetired.
   enum : std::uint8_t { kUnopened = 0, kOpen = 1, kRetired = 2 };
 
-  /// One instance's routing state, preallocated and never reused. The
-  /// sender pointer aliases the engine-owned InstanceSender so the delivery
-  /// path can update its per-instance stats.
+  /// One instance's routing state and traffic lanes, preallocated and
+  /// never reused.
   struct Slot {
     std::atomic<std::uint8_t> state{kUnopened};
     /// By member id; null = unrouted. Allocated at open, published by the
     /// release store of `state`, retained past retirement.
     std::unique_ptr<std::atomic<net::Endpoint*>[]> routes;
-    InstanceSender* sender = nullptr;
+    /// The instance's traffic, one lane per shard: sent and bytes by the
+    /// sender's shard, delivered and dead-destination (an unrouted member)
+    /// by the receiver's. Allocated and published with `routes`; retained
+    /// past retirement, so stats() still counts retired instances.
+    std::unique_ptr<net::TrafficLane[]> traffic;
   };
 
-  /// One shard's share of the demux counters (single writer: that shard).
+  /// One shard's share of the frames the mux itself drops (single writer:
+  /// that shard).
   struct alignas(64) Lane {
-    std::atomic<std::uint64_t> delivered{0};
     std::atomic<std::uint64_t> malformed_envelope{0};
     std::atomic<std::uint64_t> unknown_instance{0};
     std::atomic<std::uint64_t> retired_instance{0};
-    std::atomic<std::uint64_t> unrouted_member{0};
     std::atomic<std::uint64_t> closed_sends{0};
   };
 

@@ -311,7 +311,6 @@ bool ServiceEngine::instance_done(const Instance& inst) const {
 void ServiceEngine::complete(Instance& inst, SimTime now) {
   inst.completed_at = now;
   completion_times_.push_back(now - inst.launched_at);
-  inst.network = inst.sender->stats();
   mux_.close_instance(inst.id);
   inst.state = State::kDraining;
   --in_flight_;
@@ -324,7 +323,6 @@ void ServiceEngine::complete(Instance& inst, SimTime now) {
 }
 
 void ServiceEngine::fail(Instance& inst) {
-  inst.network = inst.sender->stats();
   mux_.close_instance(inst.id);
   inst.state = State::kFailed;
   --in_flight_;
@@ -378,7 +376,8 @@ void ServiceEngine::finalize(Instance& inst, bool teardown) {
   row.launched_at = inst.launched_at;
   row.completed_at = inst.completed_at;
   row.participants = inst.participants;
-  row.network = inst.network;
+  // Drained (or the loop stopped): no demux still races the lanes.
+  row.network = inst.sender->stats();
   if (inst.checker) {
     std::vector<MemberId> alive;
     for (const MemberId m : inst.group.members()) {
@@ -392,7 +391,7 @@ void ServiceEngine::finalize(Instance& inst, bool teardown) {
   }
   row.measurement =
       protocols::measure_run(inst.group, inst.nodes, inst.votes,
-                             config_.experiment.aggregate, inst.network,
+                             config_.experiment.aggregate, row.network,
                              inst.audit.get());
   if (inst.lineage) row.lineage_json = inst.lineage->to_json();
   results_.push_back(std::move(row));
@@ -460,7 +459,6 @@ ServiceResult ServiceEngine::collect() {
     if (inst->state == State::kDraining) {
       finalize(*inst, /*teardown=*/false);
     } else if (inst->state == State::kRunning) {
-      inst->network = inst->sender->stats();
       mux_.close_instance(inst->id);
       inst->state = State::kFailed;
       --in_flight_;
@@ -476,7 +474,7 @@ ServiceResult ServiceEngine::collect() {
     row.completed = false;
     row.launched_at = inst->launched_at;
     row.participants = inst->participants;
-    row.network = inst->network;
+    row.network = inst->sender->stats();
     if (inst->checker) {
       row.invariant_violations = inst->checker->violations().size();
       if (!inst->checker->violations().empty()) {
@@ -574,15 +572,15 @@ ServiceResult run_service_experiment(const ServiceConfig& config) {
       };
   substrate.sim_clock = &simulator;
 
-  // Live telemetry: the simulator is one shard, so one lane. The sampler
-  // ticks on the virtual clock, making the whole JSONL series a pure
-  // function of (config, seed) — the determinism tests pin the bytes.
+  // Live telemetry: the simulator is one shard, so one pair of lanes. The
+  // sampler ticks on the virtual clock, making the whole JSONL series a
+  // pure function of (config, seed) — the determinism tests pin the bytes.
   std::unique_ptr<obs::TelemetryHub> tel_hub;
   std::unique_ptr<obs::TelemetrySampler> tel_sampler;
   if (xc.telemetry.enabled) {
-    tel_hub = std::make_unique<obs::TelemetryHub>(1);
+    tel_hub = std::make_unique<obs::TelemetryHub>(std::vector<obs::ShardLanes>{
+        {&simulator.telemetry(), &network.traffic()}});
     tel_hub->enable_service();
-    simulator.set_telemetry(&tel_hub->lane(0));
     substrate.telemetry = tel_hub.get();
     tel_sampler = std::make_unique<obs::TelemetrySampler>(*tel_hub,
                                                           xc.telemetry);
@@ -605,6 +603,7 @@ ServiceResult run_service_experiment(const ServiceConfig& config) {
     (void)simulator.step();
   }
   ServiceResult result = engine.collect();
+  result.network = network.stats();
   // Final sample: the resolved stream's end state always makes the series.
   if (tel_sampler != nullptr) tel_sampler->sample(simulator.now());
   return result;

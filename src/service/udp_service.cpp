@@ -18,24 +18,6 @@
 
 namespace gridbox::service {
 
-namespace {
-
-/// Self-stopping periodic sampler tick on the control reactor: samples on
-/// the reactor clock and stops rescheduling once the stream resolves, so
-/// the wheel quiesces with the run.
-struct SamplerTick final : sim::TimerTarget {
-  obs::TelemetrySampler* sampler = nullptr;
-  net::Reactor* clock = nullptr;
-  std::function<bool()> keep_going;
-
-  bool on_timer(std::uint32_t /*timer_id*/) override {
-    sampler->sample(clock->now());
-    return keep_going();
-  }
-};
-
-}  // namespace
-
 UdpServiceResult run_udp_service(const UdpServiceConfig& udp_config) {
   const ServiceConfig& service = udp_config.service;
   const runner::ExperimentConfig& config = service.experiment;
@@ -138,20 +120,19 @@ UdpServiceResult run_udp_service(const UdpServiceConfig& udp_config) {
   substrate.sim_clock = nullptr;
   substrate.shards = shard_count;
 
-  // Live telemetry: one lane per shard, reactor + transport of a shard
-  // sharing its lane (both write from the shard's own thread).
-  std::unique_ptr<obs::TelemetryHub> tel_hub;
+  // Every shard's lanes — its reactor's loop lane beside its transport's
+  // traffic lane — as live telemetry and the result both read them.
+  std::vector<obs::ShardLanes> shard_lanes;
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    shard_lanes.push_back({&reactors[s]->telemetry(), &transports[s]->traffic()});
+  }
+  obs::TelemetryHub tel_hub(std::move(shard_lanes));
   std::unique_ptr<obs::TelemetrySampler> tel_sampler;
   if (config.telemetry.enabled) {
-    tel_hub = std::make_unique<obs::TelemetryHub>(shard_count);
-    tel_hub->enable_service();
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      reactors[s]->set_telemetry(&tel_hub->lane(s));
-      transports[s]->set_telemetry(&tel_hub->lane(s));
-    }
-    substrate.telemetry = tel_hub.get();
+    tel_hub.enable_service();
+    substrate.telemetry = &tel_hub;
     tel_sampler =
-        std::make_unique<obs::TelemetrySampler>(*tel_hub, config.telemetry);
+        std::make_unique<obs::TelemetrySampler>(tel_hub, config.telemetry);
   }
 
   // The engine's whole schedule lands on reactor 0 before its thread
@@ -162,7 +143,7 @@ UdpServiceResult run_udp_service(const UdpServiceConfig& udp_config) {
   // Sampler cadence and (optionally) the stats socket live on reactor 0 —
   // the control shard, the same thread the engine mutates the service
   // section on, so latest() is served without locks.
-  SamplerTick sampler_tick;
+  runner::SamplerTick sampler_tick;
   std::unique_ptr<net::TelemetrySocket> tel_socket;
   if (tel_sampler != nullptr) {
     sampler_tick.sampler = tel_sampler.get();
@@ -189,12 +170,13 @@ UdpServiceResult run_udp_service(const UdpServiceConfig& udp_config) {
   if (tel_sampler != nullptr) {
     tel_sampler->sample(shard_reactors.front()->now());
   }
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    result.timers_fired += reactors[s]->timers_fired();
-    result.polls += reactors[s]->polls();
-    result.eintr_retries += reactors[s]->eintr_retries();
-    result.eintr_retries += transports[s]->recv_eintr_retries();
+  for (const auto& transport : transports) {
+    net::fold(result.result.network, transport->traffic());
   }
+  const obs::LaneSnapshot loop = tel_hub.snapshot_total();
+  result.timers_fired = loop.timers_fired;
+  result.polls = loop.polls;
+  result.eintr_retries = loop.eintr_retries;
   mux.detach_all();
   return result;
 }

@@ -85,7 +85,7 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  if (telemetry_ != nullptr) telemetry_->note_queue_depth(queue_.size());
+  telemetry_.note_queue_depth(queue_.size());
   Event event = queue_.pop();
   ensures(event.time >= now_, "event queue returned an event from the past");
   now_ = event.time;
@@ -96,14 +96,10 @@ bool Simulator::step() {
 
 void Simulator::execute(Event& event) {
   if (auto* action = std::get_if<Action>(&event.work)) {
-    if (telemetry_ != nullptr) {
-      telemetry_->actions_run.fetch_add(1, std::memory_order_relaxed);
-    }
+    net::bump(telemetry_.actions_run);
     (*action)();
   } else if (auto* deliver = std::get_if<DeliverFrame>(&event.work)) {
-    if (telemetry_ != nullptr) {
-      telemetry_->frames_delivered.fetch_add(1, std::memory_order_relaxed);
-    }
+    // Counted by the sink's traffic lane (delivered or dead-destination).
     deliver->sink->deliver_frame(deliver->message);
   } else {
     // Mirror Repeater's ordering exactly: the tick runs first, then the next
@@ -111,7 +107,7 @@ void Simulator::execute(Event& event) {
     // engine and golden traces stay bitwise identical.
     auto& timer = std::get<TimerFire>(event.work);
     // Virtual-clock fires are exactly on time: lateness 0 by construction.
-    if (telemetry_ != nullptr) telemetry_->note_timer_fired(0);
+    telemetry_.note_timer_fired(0);
     const bool again = timer.target->on_timer(timer.timer_id);
     if (again && timer.interval.ticks() > 0) {
       queue_.push(now_ + timer.interval, std::move(event.work));

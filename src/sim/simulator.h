@@ -99,11 +99,13 @@ class Simulator final : public Scheduler {
   /// (large-N runs: avoids reallocation churn during the start-skew burst).
   void reserve_events(std::size_t capacity) { queue_.reserve(capacity); }
 
-  /// Arms live telemetry into `lane` (nullptr disarms). The simulator is
-  /// one shard, so a run on this substrate fills exactly lane 0; timer
-  /// lateness is always zero here — the virtual clock fires on time — which
-  /// is precisely what makes the series golden-testable.
-  void set_telemetry(obs::TelemetryLane* lane) { telemetry_ = lane; }
+  /// The run's loop-event lane, always on. The simulator is one shard, so
+  /// a run on this substrate fills exactly one lane; timer lateness is
+  /// always zero here — the virtual clock fires on time — which is
+  /// precisely what makes the series golden-testable.
+  [[nodiscard]] const obs::TelemetryLane& telemetry() const {
+    return telemetry_;
+  }
 
  private:
   void execute(Event& event);
@@ -112,7 +114,7 @@ class Simulator final : public Scheduler {
   EventQueue queue_;
   std::uint64_t executed_ = 0;
   std::uint64_t event_limit_ = 500'000'000;
-  obs::TelemetryLane* telemetry_ = nullptr;
+  obs::TelemetryLane telemetry_;
 };
 
 }  // namespace gridbox::sim

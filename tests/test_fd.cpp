@@ -10,6 +10,7 @@
 namespace gridbox::protocols::fd {
 namespace {
 
+using gridbox::testing::SendsBySource;
 using gridbox::testing::World;
 using gridbox::testing::WorldOptions;
 
@@ -136,11 +137,14 @@ TEST(FailureDetector, MessageCostIsConstantPerMemberPerRound) {
   FdConfig config;
   config.fanout = 2;
   FdFleet fleet(options, config);
+  SendsBySource sends(options.group_size);
+  fleet.world.network().set_observer(&sends);
   fleet.start_all();
   fleet.world.simulator().run_until(SimTime::seconds(1));
   for (const auto& d : fleet.detectors) {
-    EXPECT_LE(d->messages_sent(), d->rounds_executed() * config.fanout);
-    EXPECT_GE(d->messages_sent(), d->rounds_executed() * config.fanout / 2);
+    const std::uint64_t sent = sends.of(d->self());
+    EXPECT_LE(sent, d->rounds_executed() * config.fanout);
+    EXPECT_GE(sent, d->rounds_executed() * config.fanout / 2);
   }
 }
 

@@ -8,6 +8,7 @@
 namespace gridbox::protocols::gossip {
 namespace {
 
+using gridbox::testing::SendsBySource;
 using gridbox::testing::World;
 using gridbox::testing::WorldOptions;
 
@@ -219,6 +220,8 @@ TEST(HierGossip, MessageComplexityIsRoundsTimesFanout) {
   options.group_size = 64;
   options.k = 4;
   World world(options);
+  SendsBySource sends(options.group_size);
+  world.network().set_observer(&sends);
   GossipConfig config = config_for(4);
   config.early_bump = false;
   auto nodes = world.make_nodes<HierGossipNode>(config);
@@ -227,7 +230,7 @@ TEST(HierGossip, MessageComplexityIsRoundsTimesFanout) {
 
   // Per node: at most M messages per round; exactly M when peers >= M.
   for (const auto& node : nodes) {
-    EXPECT_LE(node->messages_sent(),
+    EXPECT_LE(sends.of(node->self()),
               node->rounds_executed() * config.fanout_m);
   }
   // Globally: O(N log^2 N) with small constant. For N=64, M=2, K=4, C=3:

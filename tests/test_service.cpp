@@ -19,6 +19,7 @@
 #include "src/service/envelope.h"
 #include "src/service/mux.h"
 #include "src/service/service.h"
+#include "tests/testing_mux.h"
 
 namespace gridbox {
 namespace {
@@ -102,22 +103,22 @@ class LoopTransport final : public net::Transport {
   }
   void detach(MemberId id) override { endpoints_.erase(id.value()); }
   void send(net::Message message) override {
-    ++stats_.messages_sent;
+    net::bump(traffic_.sent);
     const auto it = endpoints_.find(message.destination.value());
     if (it == endpoints_.end()) {
-      ++stats_.messages_dropped;
+      net::bump(traffic_.dropped);
       return;
     }
-    ++stats_.messages_delivered;
+    net::bump(traffic_.delivered);
     it->second->on_message(message);
   }
-  [[nodiscard]] const net::NetworkStats& stats() const override {
-    return stats_;
+  [[nodiscard]] net::NetworkStats stats() const override {
+    return net::fold(&traffic_, 1);
   }
 
  private:
   std::map<MemberId::underlying, net::Endpoint*> endpoints_;
-  net::NetworkStats stats_;
+  net::TrafficLane traffic_;
 };
 
 struct RecordingEndpoint final : net::Endpoint {
@@ -414,6 +415,29 @@ TEST(ServiceEngine, RecoverReentersACrashedMemberAtAnEpochBoundary) {
   // finishes, while the other 15 members still deliver an estimate.
   EXPECT_EQ(result.instances[0].measurement.survivors, 15u);
   EXPECT_EQ(result.instances[0].measurement.finished_nodes, 15u);
+}
+
+// Streams with churn and duplicated frames: every envelope balances across
+// the raw transport, the instances and the mux.
+TEST(ServiceEngine, MuxBoundaryConservesFramesUnderChurnAndDup) {
+  const char* const specs[] = {
+      "loss 0.1\ndup p=0.2 extra=1 spread=500us\n"
+      "crash M3 at=30ms\njoin M5 at=40ms\nrecover M3 at=80ms\n",
+      "dup p=0.3 extra=2 spread=2ms\njoin M1 at=12ms\njoin M9 at=31ms\n",
+      "loss 0.2\ndup p=0.1 extra=1 spread=1ms\ncrash M7 at=8ms\n"
+      "crash M11 at=20ms\nrecover M7 at=45ms\n",
+  };
+  std::uint64_t seed = 31;
+  for (const char* spec : specs) {
+    SCOPED_TRACE(spec);
+    service::ServiceConfig sc = small_service();
+    sc.experiment.seed = seed++;
+    sc.experiment.chaos_spec = spec;
+    sc.instances = 12;
+    const service::ServiceResult result = service::run_service_experiment(sc);
+    EXPECT_GT(result.network.messages_duplicated, 0u);
+    testing::expect_mux_boundary_conserves(result);
+  }
 }
 
 TEST(ServiceEngine, LineageCollectsOneDocumentPerInstance) {

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/net/reactor.h"
+#include "src/net/stats.h"
 #include "src/obs/json.h"
 #include "src/obs/telemetry.h"
 #include "src/runner/config.h"
@@ -42,20 +44,43 @@ TEST(TelemetryHistTest, Log2BucketingHoldsAtTheEdges) {
             TelemetryHist::kBuckets - 1);
 }
 
-/// Drives the same scripted load into a hub with `lanes` lanes, member m
-/// landing on lane m % lanes — the shard_of rule of every runtime.
+/// Each shard's pair of lanes, owned here the way a reactor and its
+/// transport own them in a runtime.
+struct ShardFixture {
+  explicit ShardFixture(std::size_t shards)
+      : loops(std::make_unique<obs::TelemetryLane[]>(shards)),
+        traffic(std::make_unique<net::TrafficLane[]>(shards)),
+        count(shards) {}
+
+  [[nodiscard]] std::vector<obs::ShardLanes> lanes() const {
+    std::vector<obs::ShardLanes> out;
+    for (std::size_t s = 0; s < count; ++s) {
+      out.push_back({&loops[s], &traffic[s]});
+    }
+    return out;
+  }
+
+  std::unique_ptr<obs::TelemetryLane[]> loops;
+  std::unique_ptr<net::TrafficLane[]> traffic;
+  std::size_t count;
+};
+
+/// Drives the same scripted load into `lanes` shards, member m landing on
+/// shard m % lanes — the shard_of rule of every runtime.
 LaneSnapshot folded_total(std::size_t lanes) {
-  TelemetryHub hub(lanes);
+  ShardFixture shards(lanes);
   for (std::uint64_t m = 0; m < 96; ++m) {
-    obs::TelemetryLane& lane = hub.lane(m % lanes);
+    obs::TelemetryLane& lane = shards.loops[m % lanes];
+    net::TrafficLane& traffic = shards.traffic[m % lanes];
     lane.note_timer_fired(m % 7);
-    lane.actions_run.fetch_add(1 + m % 3, std::memory_order_relaxed);
-    lane.frames_delivered.fetch_add(m % 5, std::memory_order_relaxed);
+    net::bump(lane.actions_run, 1 + m % 3);
+    net::bump(traffic.delivered, m % 5);
+    net::bump(traffic.dead_dest, m % 2);
     lane.drain_per_wake.observe(m % 5);
     lane.dispatch_per_tick.observe(m % 11);
     lane.note_queue_depth(m % 9);
   }
-  return hub.snapshot_total();
+  return TelemetryHub(shards.lanes()).snapshot_total();
 }
 
 TEST(TelemetryHubTest, ShardOrderedFoldIsInvariantUnderLaneCount) {
@@ -64,7 +89,7 @@ TEST(TelemetryHubTest, ShardOrderedFoldIsInvariantUnderLaneCount) {
     const LaneSnapshot many = folded_total(lanes);
     EXPECT_EQ(one.timers_fired, many.timers_fired) << lanes;
     EXPECT_EQ(one.actions_run, many.actions_run) << lanes;
-    EXPECT_EQ(one.frames_delivered, many.frames_delivered) << lanes;
+    EXPECT_EQ(one.frames, many.frames) << lanes;
     // The high-water gauge folds by max, so the global maximum survives
     // any distribution of members over lanes.
     EXPECT_EQ(one.queue_depth_hw, many.queue_depth_hw) << lanes;
@@ -80,9 +105,10 @@ TEST(TelemetryHubTest, ShardOrderedFoldIsInvariantUnderLaneCount) {
 }
 
 TEST(TelemetrySamplerTest, EmitsSchemaVersionedSequencedRecords) {
-  TelemetryHub hub(2);
-  hub.lane(0).note_timer_fired(100);
-  hub.lane(1).note_timer_fired(0);
+  ShardFixture shards(2);
+  const TelemetryHub hub(shards.lanes());
+  shards.loops[0].note_timer_fired(100);
+  shards.loops[1].note_timer_fired(0);
 
   std::string sink;
   obs::TelemetryConfig config;
@@ -91,7 +117,12 @@ TEST(TelemetrySamplerTest, EmitsSchemaVersionedSequencedRecords) {
   config.sink = &sink;
   obs::TelemetrySampler sampler(hub, config);
   sampler.sample(SimTime::millis(10));
-  hub.lane(0).frames_delivered.fetch_add(3, std::memory_order_relaxed);
+  // Frames are the traffic view delivered + dead_dest; malformed and
+  // dropped frames are not counted.
+  net::bump(shards.traffic[0].delivered, 2);
+  net::bump(shards.traffic[1].dead_dest);
+  net::bump(shards.traffic[1].malformed);
+  net::bump(shards.traffic[1].dropped);
   sampler.sample(SimTime::millis(20));
   EXPECT_EQ(sampler.samples(), 2u);
 
@@ -117,7 +148,7 @@ TEST(TelemetrySamplerTest, EmitsSchemaVersionedSequencedRecords) {
   EXPECT_EQ(expected_seq, 2u);
   EXPECT_EQ(sampler.latest(), last);
 
-  // The second record saw the frame deliveries that landed in between.
+  // The second record saw the frames that landed in between.
   const JsonValue doc = obs::json_parse(last);
   const JsonValue* total = doc.find("total");
   ASSERT_NE(total, nullptr);
@@ -127,8 +158,7 @@ TEST(TelemetrySamplerTest, EmitsSchemaVersionedSequencedRecords) {
 
 TEST(TelemetryReactorTest, ScriptedClockAttributesTimerLateness) {
   net::Reactor reactor{net::Reactor::Options{}};
-  obs::TelemetryLane lane;
-  reactor.set_telemetry(&lane);
+  const obs::TelemetryLane& lane = reactor.telemetry();
   SimTime clock = SimTime::zero();
   reactor.set_clock_fn([&clock]() { return clock; });
 
@@ -156,8 +186,7 @@ TEST(TelemetryReactorTest, ScriptedClockAttributesTimerLateness) {
 
 TEST(TelemetrySimulatorTest, VirtualClockFiresExactlyOnTime) {
   sim::Simulator sim;
-  obs::TelemetryLane lane;
-  sim.set_telemetry(&lane);
+  const obs::TelemetryLane& lane = sim.telemetry();
 
   struct Ticker final : sim::TimerTarget {
     int left = 5;
@@ -185,6 +214,20 @@ std::string one_shot_series(std::size_t jobs) {
   config.telemetry.sink = &sink;
   const runner::RunResult result = runner::run_experiment(config);
   EXPECT_GT(result.sim_events, 0u);
+  // The closing record's frames is the run's traffic view, delivered +
+  // dead_dest, the same definition the reactors use.
+  std::istringstream lines(sink);
+  std::string line;
+  std::string last;
+  while (std::getline(lines, line)) last = line;
+  const JsonValue doc = obs::json_parse(last);
+  const JsonValue* total = doc.find("total");
+  EXPECT_NE(total, nullptr);
+  if (total != nullptr) {
+    EXPECT_EQ(total->number_or("frames", -1),
+              static_cast<double>(result.network.messages_delivered +
+                                  result.network.messages_dead_dest));
+  }
   return sink;
 }
 

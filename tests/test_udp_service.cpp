@@ -2,8 +2,9 @@
 // 64-instance pipelined service run over loopback UDP under chaos loss and
 // scripted churn, cross-checked per instance against the simulator — every
 // instance must be audit-clean, reconstructing, invariant-clean, and
-// bit-equal on ground truth across the two substrates. Also the one-shot
-// UDP runner's churn rejection and both runners' port-space check
+// bit-equal on ground truth across the two substrates, with every envelope
+// balanced across the raw transports, the instances and the mux. Also the
+// one-shot UDP runner's churn rejection and both runners' port-space check
 // (validated before any socket binds).
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "src/common/ensure.h"
 #include "src/runner/udp_runtime.h"
 #include "src/service/udp_service.h"
+#include "tests/testing_mux.h"
 
 namespace gridbox {
 namespace {
@@ -109,6 +111,9 @@ TEST(UdpService, SixtyFourInstanceDifferentialUnderLossAndChurn) {
   EXPECT_GT(report.udp.result.metrics.demux.delivered, 0u);
   EXPECT_EQ(report.udp.result.metrics.demux.malformed_envelope, 0u);
   EXPECT_EQ(report.udp.result.metrics.demux.unknown_instance, 0u);
+  // Every envelope balances across the layers on both substrates.
+  testing::expect_mux_boundary_conserves(report.sim);
+  testing::expect_mux_boundary_conserves(report.udp.result);
 }
 
 }  // namespace

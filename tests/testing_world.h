@@ -51,6 +51,22 @@ struct WorldOptions {
   std::optional<std::vector<double>> vote_values;
 };
 
+/// Counts the transport's accepted sends per source member: the per-node
+/// send count, kept by the test rather than by the protocol.
+class SendsBySource final : public net::NetworkObserver {
+ public:
+  explicit SendsBySource(std::size_t group_size) : sent_(group_size, 0) {}
+  void on_send(const net::Message& message, SimTime /*now*/) override {
+    ++sent_[message.source.value()];
+  }
+  [[nodiscard]] std::uint64_t of(MemberId member) const {
+    return sent_[member.value()];
+  }
+
+ private:
+  std::vector<std::uint64_t> sent_;
+};
+
 /// Owns every substrate object a protocol needs, with lifetimes arranged so
 /// nodes can be created, attached, and run inside one test body.
 class World {
