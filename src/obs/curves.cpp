@@ -6,6 +6,7 @@
 #include "src/analysis/epidemic.h"
 #include "src/common/ensure.h"
 #include "src/obs/json.h"
+#include "src/protocols/gossip/trace.h"
 
 namespace gridbox::obs {
 
@@ -21,36 +22,19 @@ std::uint64_t to_bp(double frac) {
 
 }  // namespace
 
-CurveRecorder::CurveRecorder(Options options) : options_(options) {
+CurveRecorder::CurveRecorder(const EventLog& log, Options options)
+    : log_(log), options_(options) {
   expects(options_.round_us > 0, "curve recorder needs a round duration");
+  expects(log_.flat() && log_.keeps(EventKind::kGain),
+          "curve recorder: the event log must be armed for replay");
 }
 
-void CurveRecorder::record_gain(std::size_t phase,
-                                protocols::gossip::GainKind kind) {
-  const std::uint64_t t =
-      options_.simulator != nullptr
-          ? static_cast<std::uint64_t>(options_.simulator->now().ticks())
-          : 0;
-  std::uint64_t bucket;
-  if (t >= cached_start_ && t < cached_end_) {
-    bucket = cached_bucket_;
-  } else {
-    bucket = t / options_.round_us;
-    cached_bucket_ = bucket;
-    cached_start_ = bucket * options_.round_us;
-    cached_end_ = cached_start_ + options_.round_us;
+std::uint64_t CurveRecorder::total_gains() const {
+  std::uint64_t gains = 0;
+  for (const Event& e : log_.records()) {
+    gains += e.kind == EventKind::kGain ? 1 : 0;
   }
-  ++total_gains_;
-  if (kind == protocols::gossip::GainKind::kResult) {
-    if (bucket >= result_series_.size()) result_series_.resize(bucket + 1);
-    ++result_series_[bucket];
-    return;
-  }
-  if (phase == 0) return;  // defensive: phases are 1-based
-  if (phase > phase_series_.size()) phase_series_.resize(phase);
-  Series& series = phase_series_[phase - 1];
-  if (bucket >= series.size()) series.resize(bucket + 1);
-  ++series[bucket];
+  return gains;
 }
 
 void CurveRecorder::set_denominators(std::vector<std::uint64_t> per_phase,
@@ -96,6 +80,25 @@ void CurveRecorder::write_series(JsonWriter& w, const Series& series,
 }
 
 std::string CurveRecorder::to_json() const {
+  // Bucket the gains: kResult gains go to their own row (result
+  // dissemination is not a phase epidemic); phases are 1-based.
+  std::vector<Series> phase_series;  // index 0 = phase 1
+  Series result_series;
+  for (const Event& e : log_.records()) {
+    if (e.kind != EventKind::kGain) continue;
+    const auto bucket =
+        static_cast<std::uint64_t>(e.at.ticks()) / options_.round_us;
+    Series* series = &result_series;
+    if (e.aux != static_cast<std::uint8_t>(
+                     protocols::gossip::GainKind::kResult)) {
+      if (e.phase == 0) continue;
+      if (e.phase > phase_series.size()) phase_series.resize(e.phase);
+      series = &phase_series[e.phase - 1];
+    }
+    if (bucket >= series->size()) series->resize(bucket + 1);
+    ++(*series)[bucket];
+  }
+
   JsonWriter w;
   w.begin_object();
   w.key("schema");
@@ -107,11 +110,11 @@ std::string CurveRecorder::to_json() const {
   w.key("round_us");
   w.value(options_.round_us);
   w.key("total_gains");
-  w.value(total_gains_);
+  w.value(total_gains());
 
   w.key("phases");
   w.begin_array();
-  for (std::size_t i = 0; i < phase_series_.size(); ++i) {
+  for (std::size_t i = 0; i < phase_series.size(); ++i) {
     const std::uint64_t denom =
         i < denominators_.size() ? denominators_[i] : 0;
     w.begin_object();
@@ -120,7 +123,7 @@ std::string CurveRecorder::to_json() const {
     w.key("denominator");
     w.value(denom);
     w.key("samples");
-    write_series(w, phase_series_[i], denom);
+    write_series(w, phase_series[i], denom);
     if (analytic_.enabled && i < analytic_.phases.size() &&
         analytic_.rounds_per_phase > 0) {
       // Bailey logistic for this phase's (m, b), one point per round. The
@@ -153,7 +156,7 @@ std::string CurveRecorder::to_json() const {
   w.key("denominator");
   w.value(result_denominator_);
   w.key("samples");
-  write_series(w, result_series_, result_denominator_);
+  write_series(w, result_series, result_denominator_);
   w.end_object();
 
   if (analytic_.enabled) {

@@ -1,7 +1,8 @@
 // Empirical epidemic curves, with the paper's analytic overlay.
 //
-// A CurveRecorder buckets knowledge-gain events (fed by RunObserver) into
-// per-phase infected-count time series: bucket r of phase i holds how many
+// A CurveRecorder is a view of the run's event log: when read, it buckets
+// the log's knowledge-gain records by `at / round_us` into per-phase
+// infected-count time series: bucket r of phase i holds how many
 // (member, value) knowledge pairs existed after r gossip rounds. Divided by
 // a protocol-aware denominator (the maximum achievable pairs, computed by
 // run_experiment), that is the run's empirical infection fraction — the
@@ -20,8 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "src/protocols/gossip/trace.h"
-#include "src/sim/simulator.h"
+#include "src/obs/event_log.h"
 
 namespace gridbox::obs {
 
@@ -30,10 +30,6 @@ class CurveRecorder {
   struct Options {
     /// Bucket width in microseconds — one gossip round. Must be > 0.
     std::uint64_t round_us = 1;
-    /// Clock for bucketing (nullable: everything lands in bucket 0). The
-    /// CLI constructs recorders before the simulator exists; run_experiment
-    /// installs the run's clock via set_clock().
-    const sim::Simulator* simulator = nullptr;
   };
 
   /// Bailey logistic parameters for one phase: group size m, per-value
@@ -56,11 +52,8 @@ class CurveRecorder {
     double theorem1 = 0.0;           ///< theorem1_bound
   };
 
-  explicit CurveRecorder(Options options);
-
-  /// One knowledge gain in `phase` at the current sim time. kResult gains go
-  /// to their own row (result dissemination is not a phase epidemic).
-  void record_gain(std::size_t phase, protocols::gossip::GainKind kind);
+  /// `log` must be armed with replay = true and outlive the recorder.
+  CurveRecorder(const EventLog& log, Options options);
 
   /// Maximum achievable knowledge pairs per phase (index 0 = phase 1) and
   /// for the result row; protocol-aware, set by run_experiment.
@@ -68,18 +61,17 @@ class CurveRecorder {
                         std::uint64_t result_denominator);
   void set_analytic(Analytic analytic);
   void set_meta(std::size_t group_size, std::uint32_t k);
-  void set_clock(const sim::Simulator* simulator) {
-    options_.simulator = simulator;
-  }
 
-  [[nodiscard]] std::uint64_t total_gains() const { return total_gains_; }
+  [[nodiscard]] const EventLog& log() const { return log_; }
+
+  /// Gain records in the log, of every kind and phase.
+  [[nodiscard]] std::uint64_t total_gains() const;
 
   /// Serializes everything as a "gridbox-curves/1" JSON document.
   [[nodiscard]] std::string to_json() const;
 
  private:
-  /// Gains per bucket (rounds since t=0), indexed by bucket. A flat array:
-  /// the hot path is one bounds check and an increment, and runs end after
+  /// Gains per bucket (rounds since t=0), indexed by bucket. Runs end after
   /// a few hundred rounds so the tail of zeroes is negligible. Zero-count
   /// buckets are skipped on output, matching the sparse representation.
   using Series = std::vector<std::uint64_t>;
@@ -87,21 +79,13 @@ class CurveRecorder {
   void write_series(class JsonWriter& w, const Series& series,
                     std::uint64_t denominator) const;
 
+  const EventLog& log_;
   Options options_;
-  // Bucket lookup cache: sim time is monotonic, so nearly every gain lands
-  // in the same bucket as the previous one. The division only runs when the
-  // clock crosses a bucket edge — once per round, not once per event.
-  std::uint64_t cached_bucket_ = 0;
-  std::uint64_t cached_start_ = 1;  ///< > cached_end_ ⇒ first use recomputes
-  std::uint64_t cached_end_ = 0;
-  std::vector<Series> phase_series_;  ///< index 0 = phase 1
-  Series result_series_;
   std::vector<std::uint64_t> denominators_;
   std::uint64_t result_denominator_ = 0;
   Analytic analytic_;
   std::size_t group_size_ = 0;
   std::uint32_t k_ = 0;
-  std::uint64_t total_gains_ = 0;
 };
 
 }  // namespace gridbox::obs

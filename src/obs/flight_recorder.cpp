@@ -1,5 +1,6 @@
 #include "src/obs/flight_recorder.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <utility>
@@ -8,64 +9,31 @@
 
 namespace gridbox::obs {
 
-namespace {
+FlightRecorder::FlightRecorder(const EventLog& log, Options options)
+    : log_(log), options_(std::move(options)) {
+  expects(log_.keeps(EventKind::kSend),
+          "flight recorder: the event log must be armed for it");
+}
 
-const char* kind_name(FlightRecorder::EventKind kind) {
-  using EventKind = FlightRecorder::EventKind;
-  switch (kind) {
-    case EventKind::kSend:
-      return "send";
-    case EventKind::kDrop:
-      return "drop";
-    case EventKind::kDuplicate:
-      return "dup";
-    case EventKind::kDeliver:
-      return "recv";
-    case EventKind::kDeadDest:
-      return "dead";
-    case EventKind::kMalformed:
-      return "malformed";
-    case EventKind::kPhaseEntered:
-      return "enter";
-    case EventKind::kRound:
-      return "round";
-    case EventKind::kGain:
-      return "gain";
-    case EventKind::kConcluded:
-      return "conclude";
-    case EventKind::kFinished:
-      return "finish";
-    case EventKind::kCrash:
-      return "crash";
+std::size_t FlightRecorder::kept() const {
+  return std::min(log_.size(), EventLog::kFlightTail);
+}
+
+std::vector<Event> FlightRecorder::tail() const {
+  std::vector<Event> out;
+  out.reserve(kept());
+  for (std::size_t i = log_.size() - kept(); i < log_.size(); ++i) {
+    out.push_back(log_.at(i));
   }
-  return "?";
+  return out;
 }
-
-}  // namespace
-
-FlightRecorder::FlightRecorder(Options options)
-    : options_(std::move(options)) {
-  expects(options_.capacity > 0, "flight recorder needs a capacity");
-  ring_.reserve(options_.capacity);
-}
-
-void FlightRecorder::record(const Event& event) {
-  if (ring_.size() < options_.capacity) {
-    ring_.push_back(event);
-  } else {
-    ring_[total_ % options_.capacity] = event;
-  }
-  ++total_;
-}
-
-std::size_t FlightRecorder::kept() const { return ring_.size(); }
 
 std::string FlightRecorder::dump() const {
   std::string out;
   out += "gridbox-flight/1\n";
   out += "seed " + std::to_string(options_.seed) + "\n";
-  out += "events_recorded " + std::to_string(total_) + "\n";
-  out += "events_kept " + std::to_string(ring_.size()) + "\n";
+  out += "events_recorded " + std::to_string(total_recorded()) + "\n";
+  out += "events_kept " + std::to_string(kept()) + "\n";
   out += "--- config ---\n";
   out += options_.config_text;
   if (!options_.config_text.empty() && options_.config_text.back() != '\n') {
@@ -78,13 +46,10 @@ std::string FlightRecorder::dump() const {
   }
   out += "--- tail ---\n";
 
-  // Oldest first. When the ring wrapped, the oldest slot is total_ % cap.
-  const std::size_t n = ring_.size();
-  const std::size_t start =
-      total_ > n ? static_cast<std::size_t>(total_ % options_.capacity) : 0;
   char line[160];
-  for (std::size_t i = 0; i < n; ++i) {
-    const Event& e = ring_[(start + i) % n];
+  for (const Event& e : tail()) {
+    const auto t = static_cast<unsigned long long>(e.at.ticks());
+    const char* name = event_name(e.kind);
     switch (e.kind) {
       case EventKind::kSend:
       case EventKind::kDrop:
@@ -93,42 +58,35 @@ std::string FlightRecorder::dump() const {
       case EventKind::kDeadDest:
       case EventKind::kMalformed:
         std::snprintf(line, sizeof(line),
-                      "t=%lluus %s src=%u dst=%u bytes=%u\n",
-                      static_cast<unsigned long long>(e.at.ticks()),
-                      kind_name(e.kind), e.a, e.b, e.value);
+                      "t=%lluus %s src=%u dst=%u bytes=%u\n", t, name, e.a,
+                      e.b, e.value);
         break;
       case EventKind::kPhaseEntered:
-        std::snprintf(line, sizeof(line), "t=%lluus enter m=%u phase=%u\n",
-                      static_cast<unsigned long long>(e.at.ticks()), e.a,
-                      e.phase);
+        std::snprintf(line, sizeof(line), "t=%lluus %s m=%u phase=%u\n", t,
+                      name, e.a, e.phase);
         break;
       case EventKind::kRound:
         std::snprintf(line, sizeof(line),
-                      "t=%lluus round m=%u phase=%u fanout=%u\n",
-                      static_cast<unsigned long long>(e.at.ticks()), e.a,
+                      "t=%lluus %s m=%u phase=%u fanout=%u\n", t, name, e.a,
                       e.phase, e.value);
         break;
       case EventKind::kGain:
         std::snprintf(line, sizeof(line),
-                      "t=%lluus gain m=%u phase=%u index=%u from=%u votes=%u "
+                      "t=%lluus %s m=%u phase=%u index=%u from=%u votes=%u "
                       "kind=%u\n",
-                      static_cast<unsigned long long>(e.at.ticks()), e.a,
-                      e.phase, e.value, e.b, e.votes, e.aux);
+                      t, name, e.a, e.phase, e.value, e.b, e.votes, e.aux);
         break;
       case EventKind::kConcluded:
         std::snprintf(line, sizeof(line),
-                      "t=%lluus conclude m=%u phase=%u votes=%u how=%u\n",
-                      static_cast<unsigned long long>(e.at.ticks()), e.a,
-                      e.phase, e.votes, e.aux);
+                      "t=%lluus %s m=%u phase=%u votes=%u how=%u\n", t, name,
+                      e.a, e.phase, e.votes, e.aux);
         break;
       case EventKind::kFinished:
-        std::snprintf(line, sizeof(line), "t=%lluus finish m=%u votes=%u\n",
-                      static_cast<unsigned long long>(e.at.ticks()), e.a,
-                      e.votes);
+        std::snprintf(line, sizeof(line), "t=%lluus %s m=%u votes=%u\n", t,
+                      name, e.a, e.votes);
         break;
       case EventKind::kCrash:
-        std::snprintf(line, sizeof(line), "t=%lluus crash m=%u\n",
-                      static_cast<unsigned long long>(e.at.ticks()), e.a);
+        std::snprintf(line, sizeof(line), "t=%lluus %s m=%u\n", t, name, e.a);
         break;
     }
     out += line;

@@ -1,70 +1,41 @@
-// Flight recorder: a bounded in-memory ring of recent typed events.
+// Flight recorder: the event log's tail, dumped when a run dies.
 //
-// Unlike the TraceSink (which streams everything to JSONL and is too heavy
-// to leave on in big sweeps), the flight recorder keeps only the last N
-// events in fixed storage and is meant to be armed on runs that might die:
+// Unlike the JSONL trace (which streams everything and is too heavy to
+// leave on in big sweeps), the flight recorder reads only the last
+// EventLog::kFlightTail records of the run's log — a fixed ring when it is
+// the only view keeping records, the tail of the flat log when lineage or
+// curves are armed too. It is meant to be armed on runs that might die:
 // when an invariant trips, the runner dumps a postmortem — the replay
 // recipe (canonical config text, chaos spec, seed) plus the event tail
 // leading up to the failure — so "what was the network doing right before
 // member M violated the phase monotone?" has an answer without re-running.
-//
-// Events are plain structs (no strings, no heap per event after the ring
-// reaches capacity); recording is a ring-slot write.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "src/common/types.h"
-#include "src/sim/simulator.h"
+#include "src/obs/event_log.h"
 
 namespace gridbox::obs {
 
 class FlightRecorder {
  public:
+  /// Replay recipe, embedded verbatim in every dump.
   struct Options {
-    /// Ring capacity (events kept). Must be > 0.
-    std::size_t capacity = 4096;
-    /// Replay recipe, embedded verbatim in every dump.
     std::string config_text;
     std::string chaos_spec;
     std::uint64_t seed = 0;
   };
 
-  enum class EventKind : std::uint8_t {
-    kSend = 0,
-    kDrop = 1,
-    kDuplicate = 2,
-    kDeliver = 3,
-    kDeadDest = 4,
-    kMalformed = 5,
-    kPhaseEntered = 6,
-    kRound = 7,
-    kGain = 8,
-    kConcluded = 9,
-    kFinished = 10,
-    kCrash = 11,
-  };
+  /// `log` must be armed with flight = true and outlive the recorder.
+  FlightRecorder(const EventLog& log, Options options);
 
-  struct Event {
-    SimTime at = SimTime::zero();
-    EventKind kind = EventKind::kSend;
-    std::uint8_t aux = 0;    ///< GainKind / PhaseEnd, depending on kind
-    std::uint32_t a = 0;     ///< member / source
-    std::uint32_t b = 0;     ///< from / destination
-    std::uint32_t phase = 0;
-    std::uint32_t value = 0; ///< index / fanout / bytes
-    std::uint32_t votes = 0;
-  };
-
-  explicit FlightRecorder(Options options);
-
-  /// Ring-slot write; O(1), allocation-free once the ring is full.
-  void record(const Event& event);
-
-  [[nodiscard]] std::uint64_t total_recorded() const { return total_; }
+  [[nodiscard]] std::uint64_t total_recorded() const { return log_.total(); }
+  /// Records in the tail: at most EventLog::kFlightTail.
   [[nodiscard]] std::size_t kept() const;
+  /// The tail, oldest record first.
+  [[nodiscard]] std::vector<Event> tail() const;
 
   /// The postmortem document ("gridbox-flight/1"): replay recipe + tail,
   /// oldest event first.
@@ -75,9 +46,8 @@ class FlightRecorder {
   [[nodiscard]] bool dump_to_file(const std::string& path) const;
 
  private:
+  const EventLog& log_;
   Options options_;
-  std::vector<Event> ring_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace gridbox::obs

@@ -6,6 +6,7 @@
 
 #include "src/common/ensure.h"
 #include "src/obs/json.h"
+#include "src/protocols/gossip/trace.h"
 
 namespace gridbox::obs {
 
@@ -30,20 +31,11 @@ const char* op_name(LineageTracker::NodeOp op) {
 
 }  // namespace
 
-LineageTracker::LineageTracker(Options options) : options_(options) {
+LineageTracker::LineageTracker(const EventLog& log, Options options)
+    : log_(log), options_(options) {
   expects(options_.group_size > 0, "lineage tracker needs a group size");
-  // A member produces roughly |box| + K·(phases−1) gains plus a conclusion
-  // per phase and a finish; pre-size the log so a typical run never
-  // reallocates mid-flight. resize-then-clear instead of reserve: it first-
-  // touches the pages here, in setup, so the run itself never stalls on
-  // page faults for the log.
-  log_.resize(options_.group_size * 24);
-  log_.clear();
-}
-
-SimTime LineageTracker::now() const {
-  return options_.simulator != nullptr ? options_.simulator->now()
-                                       : SimTime::zero();
+  expects(log_.flat() && log_.keeps(EventKind::kGain),
+          "lineage tracker: the event log must be armed for replay");
 }
 
 LineageTracker::MemberState& LineageTracker::state_of(MemberId member) const {
@@ -101,71 +93,14 @@ std::int64_t LineageTracker::resolve_sender(MemberId sender, std::size_t phase,
   return cell->held;
 }
 
-void LineageTracker::on_phase_entered(MemberId member, std::size_t phase) {
-  (void)member;
-  (void)phase;
-}
-
-// --- Hot path: append-only. -----------------------------------------------
-
-void LineageTracker::on_knowledge_gained(MemberId member, std::size_t phase,
-                                         std::uint32_t index, MemberId from,
-                                         std::uint32_t votes,
-                                         protocols::gossip::GainKind kind) {
-  RawEvent e;
-  e.type = RawEvent::Type::kGain;
-  e.aux = static_cast<std::uint8_t>(kind);
-  e.member = member.value();
-  e.from = from.value();
-  e.phase = static_cast<std::uint32_t>(phase);
-  e.index = index;
-  e.votes = votes;
-  e.at = now();
-  log_.push_back(e);
-  finalized_ = false;
-}
-
-void LineageTracker::on_phase_concluded(MemberId member, std::size_t phase,
-                                        protocols::gossip::PhaseEnd how,
-                                        std::uint32_t votes) {
-  RawEvent e;
-  e.type = RawEvent::Type::kConclude;
-  e.aux = static_cast<std::uint8_t>(how);
-  e.member = member.value();
-  e.phase = static_cast<std::uint32_t>(phase);
-  e.votes = votes;
-  e.at = now();
-  log_.push_back(e);
-  finalized_ = false;
-}
-
-void LineageTracker::on_finished(MemberId member, std::uint32_t votes) {
-  RawEvent e;
-  e.type = RawEvent::Type::kFinish;
-  e.member = member.value();
-  e.votes = votes;
-  e.at = now();
-  log_.push_back(e);
-  finalized_ = false;
-}
-
-void LineageTracker::on_crash(MemberId member) {
-  RawEvent e;
-  e.type = RawEvent::Type::kCrash;
-  e.member = member.value();
-  e.at = now();
-  log_.push_back(e);
-  finalized_ = false;
-}
-
 // --- Replay: the original incremental bookkeeping, run over the log. ------
 
-void LineageTracker::replay_gain(const RawEvent& e) const {
+void LineageTracker::replay_gain(const Event& e) const {
   using protocols::gossip::GainKind;
-  const MemberId member(e.member);
-  const MemberId from(e.from);
+  const MemberId member(e.a);
+  const MemberId from(e.b);
   const std::size_t phase = e.phase;
-  const std::uint32_t index = e.index;
+  const std::uint32_t index = e.value;
   const std::uint32_t votes = e.votes;
   const auto kind = static_cast<GainKind>(e.aux);
   MemberState& s = state_of(member);
@@ -244,8 +179,8 @@ void LineageTracker::replay_gain(const RawEvent& e) const {
   }
 }
 
-void LineageTracker::replay_conclude(const RawEvent& e) const {
-  const MemberId member(e.member);
+void LineageTracker::replay_conclude(const Event& e) const {
+  const MemberId member(e.a);
   const std::size_t phase = e.phase;
   const std::uint32_t votes = e.votes;
   const auto how = static_cast<protocols::gossip::PhaseEnd>(e.aux);
@@ -296,8 +231,8 @@ void LineageTracker::replay_conclude(const RawEvent& e) const {
   s.carry = add_node(std::move(node));
 }
 
-void LineageTracker::replay_finish(const RawEvent& e) const {
-  const MemberId member(e.member);
+void LineageTracker::replay_finish(const Event& e) const {
+  const MemberId member(e.a);
   const std::uint32_t votes = e.votes;
   MemberState& s = state_of(member);
   const std::int64_t final_node = s.result >= 0 ? s.result : s.carry;
@@ -321,30 +256,32 @@ void LineageTracker::replay_finish(const RawEvent& e) const {
 }
 
 void LineageTracker::finalize() const {
-  if (finalized_) return;
+  if (replayed_ == log_.total()) return;
   members_.clear();
   members_.resize(options_.group_size);
   nodes_.clear();
   nodes_.reserve(log_.size());
   errors_.clear();
   finished_count_ = 0;
-  for (const RawEvent& e : log_) {
-    switch (e.type) {
-      case RawEvent::Type::kGain:
+  for (const Event& e : log_.records()) {
+    switch (e.kind) {
+      case EventKind::kGain:
         replay_gain(e);
         break;
-      case RawEvent::Type::kConclude:
+      case EventKind::kConcluded:
         replay_conclude(e);
         break;
-      case RawEvent::Type::kFinish:
+      case EventKind::kFinished:
         replay_finish(e);
         break;
-      case RawEvent::Type::kCrash:
-        state_of(MemberId(e.member)).crashed = true;
+      case EventKind::kCrash:
+        state_of(MemberId(e.a)).crashed = true;
         break;
+      default:
+        break;  // transport and phase-entry records: the flight dump's
     }
   }
-  finalized_ = true;
+  replayed_ = log_.total();
 }
 
 std::size_t LineageTracker::finished_count() const {

@@ -1,7 +1,8 @@
 // Causal vote lineage: who learned what from whom.
 //
-// A LineageTracker consumes the rich knowledge-gain events emitted by every
-// protocol (GossipTrace::on_knowledge_gained) and reconstructs, per member,
+// A LineageTracker replays the run's event log (the rich knowledge-gain
+// events every protocol emits through GossipTrace::on_knowledge_gained, plus
+// conclusions, finishes and crashes) and reconstructs, per member,
 // the dissemination tree behind its final estimate: each gain node points at
 // the sender-side node it was decoded from, each phase conclusion records
 // exactly the cells it merged, and a member's final estimate resolves to a
@@ -12,15 +13,13 @@
 // lineage a third, independent accounting next to the metrics registry and
 // NetworkStats, and any divergence is recorded in errors().
 //
-// The tracker is pull-fed by RunObserver (never chained as `next`), costs
-// nothing when not constructed, and is queryable offline via to_json()
-// ("gridbox-lineage/1") — the input of tools/gridbox_explain.
-//
-// Two-stage design: during the run, events are only appended to a flat raw
-// log (32 bytes each, no random access — the run pays a few nanoseconds per
-// event). The forest, the per-member accounting, and the error checks are
-// resolved lazily by replaying that log in order the first time any reader
-// asks (completeness_bp / nodes / errors / to_json).
+// The tracker is a view: during the run RunObserver only appends 32-byte
+// records to a flat EventLog (no random access — the run pays a few
+// nanoseconds per event). The forest, the per-member accounting, and the
+// error checks are resolved lazily by replaying that log in order the first
+// time any reader asks (completeness_bp / nodes / errors / to_json), and
+// are queryable offline via to_json() ("gridbox-lineage/1") — the input of
+// tools/gridbox_explain.
 #pragma once
 
 #include <cstdint>
@@ -29,24 +28,18 @@
 
 #include "src/common/types.h"
 #include "src/hierarchy/hierarchy.h"
-#include "src/protocols/gossip/trace.h"
-#include "src/sim/simulator.h"
+#include "src/obs/event_log.h"
 
 namespace gridbox::obs {
 
-class LineageTracker final : public protocols::gossip::GossipTrace {
+class LineageTracker {
  public:
   struct Options {
     std::size_t group_size = 0;
-    /// Clock for gain timestamps (nullable: times come out as 0). Callers
-    /// that construct the tracker before the simulator exists (the CLI)
-    /// leave this null; run_experiment installs the run's clock via
-    /// set_clock().
-    const sim::Simulator* simulator = nullptr;
   };
 
   /// What a lineage node records. Gains mirror GainKind; kConclude nodes are
-  /// synthesized at on_phase_concluded and list the cells they merged.
+  /// synthesized from conclusion records and list the cells they merged.
   enum class NodeOp : std::uint8_t {
     kGainRemote = 0,
     kGainLocal = 1,
@@ -70,27 +63,10 @@ class LineageTracker final : public protocols::gossip::GossipTrace {
     std::vector<std::int64_t> merged;
   };
 
-  explicit LineageTracker(Options options);
+  /// `log` must be armed with replay = true and outlive the tracker.
+  LineageTracker(const EventLog& log, Options options);
 
-  // GossipTrace (fed by RunObserver).
-  void on_phase_entered(MemberId member, std::size_t phase) override;
-  void on_knowledge_gained(MemberId member, std::size_t phase,
-                           std::uint32_t index, MemberId from,
-                           std::uint32_t votes,
-                           protocols::gossip::GainKind kind) override;
-  void on_phase_concluded(MemberId member, std::size_t phase,
-                          protocols::gossip::PhaseEnd how,
-                          std::uint32_t votes) override;
-  void on_finished(MemberId member, std::uint32_t votes) override;
-
-  /// Membership event (no GossipTrace hook exists for it).
-  void on_crash(MemberId member);
-
-  /// Installs (or clears) the clock used to stamp nodes. Only valid to
-  /// change between runs; the clock must outlive every event fed while set.
-  void set_clock(const sim::Simulator* simulator) {
-    options_.simulator = simulator;
-  }
+  [[nodiscard]] const EventLog& log() const { return log_; }
 
   /// Mean completeness over surviving members, replicating measure_run's
   /// arithmetic operation for operation so the basis-point gauge matches
@@ -104,7 +80,7 @@ class LineageTracker final : public protocols::gossip::GossipTrace {
   [[nodiscard]] std::size_t finished_count() const;
   [[nodiscard]] const std::vector<Node>& nodes() const;
 
-  /// Accounting inconsistencies detected while resolving the event log
+  /// Accounting inconsistencies detected while replaying the event log
   /// (unresolvable senders, merge sums that do not add up, finish/carry
   /// mismatches). Empty on a healthy run — tests assert exactly that.
   [[nodiscard]] const std::vector<std::string>& errors() const;
@@ -120,24 +96,6 @@ class LineageTracker final : public protocols::gossip::GossipTrace {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  /// One raw event, recorded on the hot path. 32 bytes, append-only: the
-  /// per-event cost during the run is filling this struct and one amortized
-  /// push_back — no tree building, no per-member state, no random access.
-  /// The forest is resolved from the log lazily (finalize()), off the run's
-  /// critical path, by replaying events in order: replay order equals event
-  /// order, so the reconstruction is exact.
-  struct RawEvent {
-    enum class Type : std::uint8_t { kGain, kConclude, kFinish, kCrash };
-    Type type = Type::kGain;
-    std::uint8_t aux = 0;  ///< GainKind (kGain) / PhaseEnd (kConclude)
-    std::uint32_t member = 0;
-    std::uint32_t from = 0;
-    std::uint32_t phase = 0;
-    std::uint32_t index = 0;
-    std::uint32_t votes = 0;
-    SimTime at = SimTime::zero();
-  };
-
   /// Both sides of one knowledge cell during replay. `held` is what occupies
   /// the cell (first-received-wins, mirroring the protocols); `exported` is
   /// what the member would *send* for it, which differs when a locally
@@ -171,10 +129,8 @@ class LineageTracker final : public protocols::gossip::GossipTrace {
                                              std::size_t phase,
                                              std::uint32_t index);
 
-  [[nodiscard]] SimTime now() const;
-
-  /// Replays the raw log into the forest + per-member accounting. Runs at
-  /// most once per log generation; every reader funnels through this.
+  /// Replays the log into the forest + per-member accounting. Runs again
+  /// only when the log has grown; every reader funnels through this.
   void finalize() const;
   // finalize() helpers, operating on the mutable replay state.
   [[nodiscard]] MemberState& state_of(MemberId member) const;
@@ -182,16 +138,16 @@ class LineageTracker final : public protocols::gossip::GossipTrace {
   [[nodiscard]] std::int64_t resolve_sender(MemberId sender, std::size_t phase,
                                             std::uint32_t index) const;
   std::int64_t add_node(Node node) const;
-  void replay_gain(const RawEvent& e) const;
-  void replay_conclude(const RawEvent& e) const;
-  void replay_finish(const RawEvent& e) const;
+  void replay_gain(const Event& e) const;
+  void replay_conclude(const Event& e) const;
+  void replay_finish(const Event& e) const;
   void error(std::string what) const;
 
+  const EventLog& log_;
   Options options_;
-  std::vector<RawEvent> log_;  ///< hot-path append target
 
   // Replay products, rebuilt by finalize() when the log has grown.
-  mutable bool finalized_ = false;
+  mutable std::uint64_t replayed_ = ~std::uint64_t{0};  ///< log total seen
   mutable std::vector<MemberState> members_;
   mutable std::vector<Node> nodes_;
   mutable std::vector<std::string> errors_;

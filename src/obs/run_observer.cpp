@@ -4,40 +4,8 @@
 #include <utility>
 
 #include "src/common/ensure.h"
-#include "src/obs/curves.h"
-#include "src/obs/flight_recorder.h"
-#include "src/obs/lineage.h"
 
 namespace gridbox::obs {
-
-namespace {
-
-const char* how_name(protocols::gossip::PhaseEnd how) {
-  using protocols::gossip::PhaseEnd;
-  switch (how) {
-    case PhaseEnd::kTimeout:
-      return "timeout";
-    case PhaseEnd::kSaturated:
-      return "saturated";
-    case PhaseEnd::kAdopted:
-      return "adopted";
-  }
-  return "?";
-}
-
-/// Message-shaped flight event.
-FlightRecorder::Event flight_msg(FlightRecorder::EventKind kind,
-                                 const net::Message& message, SimTime t) {
-  FlightRecorder::Event e;
-  e.at = t;
-  e.kind = kind;
-  e.a = message.source.value();
-  e.b = message.destination.value();
-  e.value = static_cast<std::uint32_t>(message.frame.size());
-  return e;
-}
-
-}  // namespace
 
 RunObserver::RunObserver(Options options) : options_(options) {
   expects(options_.simulator != nullptr, "run observer: simulator required");
@@ -45,6 +13,14 @@ RunObserver::RunObserver(Options options) : options_(options) {
 }
 
 SimTime RunObserver::now() const { return options_.simulator->now(); }
+
+Event RunObserver::stamp(EventKind kind, MemberId member) const {
+  Event e;
+  e.at = now();
+  e.kind = kind;
+  e.a = member.value();
+  return e;
+}
 
 void RunObserver::flush(const net::NetworkStats& network) {
   MetricsRegistry* m = options_.metrics;
@@ -77,81 +53,45 @@ void RunObserver::flush(const net::NetworkStats& network) {
   }
 }
 
+void RunObserver::append_message(EventKind kind,
+                                 const net::Message& message,
+                                 SimTime t) {
+  Event e;
+  e.at = t;
+  e.kind = kind;
+  e.a = message.source.value();
+  e.b = message.destination.value();
+  e.value = static_cast<std::uint32_t>(message.frame.size());
+  append(e);
+}
+
 void RunObserver::on_send(const net::Message& message, SimTime t) {
   const std::size_t phase =
       message.source.value() < member_phase_.size()
           ? member_phase_[message.source.value()]
           : 0;
   timeline_.at_phase(phase).msgs_sent += 1;
-  if (options_.sink != nullptr) {
-    options_.sink->message_event("send", t, message.source,
-                                 message.destination,
-                                 message.frame.size());
-  }
-  if (options_.flight != nullptr) {
-    options_.flight->record(
-        flight_msg(FlightRecorder::EventKind::kSend, message, t));
-  }
+  append_message(EventKind::kSend, message, t);
 }
 
 void RunObserver::on_drop(const net::Message& message, SimTime t) {
-  if (options_.sink != nullptr) {
-    options_.sink->message_event("drop", t, message.source,
-                                 message.destination,
-                                 message.frame.size());
-  }
-  if (options_.flight != nullptr) {
-    options_.flight->record(
-        flight_msg(FlightRecorder::EventKind::kDrop, message, t));
-  }
+  append_message(EventKind::kDrop, message, t);
 }
 
 void RunObserver::on_duplicate(const net::Message& message, SimTime t) {
-  if (options_.sink != nullptr) {
-    options_.sink->message_event("dup", t, message.source,
-                                 message.destination,
-                                 message.frame.size());
-  }
-  if (options_.flight != nullptr) {
-    options_.flight->record(
-        flight_msg(FlightRecorder::EventKind::kDuplicate, message, t));
-  }
+  append_message(EventKind::kDuplicate, message, t);
 }
 
 void RunObserver::on_deliver(const net::Message& message, SimTime t) {
-  if (options_.sink != nullptr) {
-    options_.sink->message_event("recv", t, message.source,
-                                 message.destination,
-                                 message.frame.size());
-  }
-  if (options_.flight != nullptr) {
-    options_.flight->record(
-        flight_msg(FlightRecorder::EventKind::kDeliver, message, t));
-  }
+  append_message(EventKind::kDeliver, message, t);
 }
 
 void RunObserver::on_dead_destination(const net::Message& message, SimTime t) {
-  if (options_.sink != nullptr) {
-    options_.sink->message_event("dead", t, message.source,
-                                 message.destination,
-                                 message.frame.size());
-  }
-  if (options_.flight != nullptr) {
-    options_.flight->record(
-        flight_msg(FlightRecorder::EventKind::kDeadDest, message, t));
-  }
+  append_message(EventKind::kDeadDest, message, t);
 }
 
 void RunObserver::on_malformed(const net::Message& message, SimTime t) {
-  if (options_.sink != nullptr) {
-    options_.sink->message_event("malformed", t, message.source,
-                                 message.destination,
-                                 message.frame.size());
-  }
-  if (options_.flight != nullptr) {
-    options_.flight->record(
-        flight_msg(FlightRecorder::EventKind::kMalformed, message, t));
-  }
+  append_message(EventKind::kMalformed, message, t);
 }
 
 void RunObserver::on_phase_entered(MemberId member, std::size_t phase) {
@@ -159,24 +99,15 @@ void RunObserver::on_phase_entered(MemberId member, std::size_t phase) {
   if (member.value() < member_phase_.size()) {
     member_phase_[member.value()] = phase;
   }
+  Event e = stamp(EventKind::kPhaseEntered, member);
+  e.phase = static_cast<std::uint32_t>(phase);
   PhaseSpan& span = timeline_.at_phase(phase);
   span.entered += 1;
-  if (!span.any_entered || now() < span.first_entered) {
-    span.first_entered = now();
+  if (!span.any_entered || e.at < span.first_entered) {
+    span.first_entered = e.at;
     span.any_entered = true;
   }
-  if (options_.sink != nullptr) {
-    options_.sink->member_event("enter", now(), member,
-                                static_cast<std::int64_t>(phase));
-  }
-  if (options_.flight != nullptr) {
-    FlightRecorder::Event e;
-    e.at = now();
-    e.kind = FlightRecorder::EventKind::kPhaseEntered;
-    e.a = member.value();
-    e.phase = static_cast<std::uint32_t>(phase);
-    options_.flight->record(e);
-  }
+  append(e);
 }
 
 void RunObserver::on_round_gossiped(MemberId member, std::size_t phase,
@@ -193,34 +124,10 @@ void RunObserver::on_round_gossiped(MemberId member, std::size_t phase,
   }
   ++fanout_counts_[bucket];
   timeline_.at_phase(phase).rounds += 1;
-  // Rounds are the bulk of the stream; traced with the fanout so a timeline
-  // reader can see gossip pressure per phase.
-  if (options_.sink != nullptr) {
-    options_.sink->member_event("round", now(), member,
-                                static_cast<std::int64_t>(phase),
-                                static_cast<std::int64_t>(fanout), "fanout");
-  }
-  if (options_.flight != nullptr) {
-    FlightRecorder::Event e;
-    e.at = now();
-    e.kind = FlightRecorder::EventKind::kRound;
-    e.a = member.value();
-    e.phase = static_cast<std::uint32_t>(phase);
-    e.value = fanout;
-    options_.flight->record(e);
-  }
-}
-
-void RunObserver::on_value_learned(MemberId member, std::size_t phase,
-                                   std::uint32_t index) {
-  if (options_.next != nullptr) {
-    options_.next->on_value_learned(member, phase, index);
-  }
-  if (options_.sink != nullptr) {
-    options_.sink->member_event("learn", now(), member,
-                                static_cast<std::int64_t>(phase),
-                                static_cast<std::int64_t>(index), "index");
-  }
+  Event e = stamp(EventKind::kRound, member);
+  e.phase = static_cast<std::uint32_t>(phase);
+  e.value = fanout;
+  append(e);
 }
 
 void RunObserver::on_knowledge_gained(MemberId member, std::size_t phase,
@@ -231,32 +138,13 @@ void RunObserver::on_knowledge_gained(MemberId member, std::size_t phase,
     options_.next->on_knowledge_gained(member, phase, index, from, votes,
                                        kind);
   }
-  // The JSONL stream keeps its historical shape: one "learn" line per
-  // remote gain, byte-identical to the pre-lineage traces. Local seeds,
-  // adoptions and result pushes are visible through lineage/flight instead.
-  if (options_.sink != nullptr &&
-      kind == protocols::gossip::GainKind::kRemote) {
-    options_.sink->member_event("learn", now(), member,
-                                static_cast<std::int64_t>(phase),
-                                static_cast<std::int64_t>(index), "index");
-  }
-  if (options_.lineage != nullptr) {
-    options_.lineage->on_knowledge_gained(member, phase, index, from, votes,
-                                          kind);
-  }
-  if (options_.curves != nullptr) options_.curves->record_gain(phase, kind);
-  if (options_.flight != nullptr) {
-    FlightRecorder::Event e;
-    e.at = now();
-    e.kind = FlightRecorder::EventKind::kGain;
-    e.aux = static_cast<std::uint8_t>(kind);
-    e.a = member.value();
-    e.b = from.value();
-    e.phase = static_cast<std::uint32_t>(phase);
-    e.value = index;
-    e.votes = votes;
-    options_.flight->record(e);
-  }
+  Event e = stamp(EventKind::kGain, member);
+  e.aux = static_cast<std::uint8_t>(kind);
+  e.b = from.value();
+  e.phase = static_cast<std::uint32_t>(phase);
+  e.value = index;
+  e.votes = votes;
+  append(e);
 }
 
 void RunObserver::on_phase_concluded(MemberId member, std::size_t phase,
@@ -265,65 +153,30 @@ void RunObserver::on_phase_concluded(MemberId member, std::size_t phase,
   if (options_.next != nullptr) {
     options_.next->on_phase_concluded(member, phase, how, votes);
   }
+  Event e = stamp(EventKind::kConcluded, member);
+  e.aux = static_cast<std::uint8_t>(how);
+  e.phase = static_cast<std::uint32_t>(phase);
+  e.votes = votes;
   tally_.conclusions += 1;
   PhaseSpan& span = timeline_.at_phase(phase);
   span.concluded += 1;
   span.votes_concluded_sum += votes;
-  if (now() > span.last_concluded) span.last_concluded = now();
-  if (options_.sink != nullptr) {
-    options_.sink->member_event("conclude", now(), member,
-                                static_cast<std::int64_t>(phase),
-                                static_cast<std::int64_t>(votes), "votes",
-                                how_name(how));
-  }
-  if (options_.lineage != nullptr) {
-    options_.lineage->on_phase_concluded(member, phase, how, votes);
-  }
-  if (options_.flight != nullptr) {
-    FlightRecorder::Event e;
-    e.at = now();
-    e.kind = FlightRecorder::EventKind::kConcluded;
-    e.aux = static_cast<std::uint8_t>(how);
-    e.a = member.value();
-    e.phase = static_cast<std::uint32_t>(phase);
-    e.votes = votes;
-    options_.flight->record(e);
-  }
+  if (e.at > span.last_concluded) span.last_concluded = e.at;
+  append(e);
 }
 
 void RunObserver::on_finished(MemberId member, std::uint32_t votes) {
   if (options_.next != nullptr) options_.next->on_finished(member, votes);
   tally_.finishes += 1;
-  if (options_.sink != nullptr) {
-    options_.sink->member_event("finish", now(), member, TraceSink::kOmitted,
-                                static_cast<std::int64_t>(votes), "votes");
-  }
-  if (options_.lineage != nullptr) {
-    options_.lineage->on_finished(member, votes);
-  }
-  if (options_.flight != nullptr) {
-    FlightRecorder::Event e;
-    e.at = now();
-    e.kind = FlightRecorder::EventKind::kFinished;
-    e.a = member.value();
-    e.votes = votes;
-    options_.flight->record(e);
-  }
+  Event e = stamp(EventKind::kFinished, member);
+  e.votes = votes;
+  append(e);
 }
 
 void RunObserver::on_crash(MemberId member) {
   tally_.crashes += 1;
-  if (options_.sink != nullptr) {
-    options_.sink->member_event("crash", now(), member);
-  }
-  if (options_.lineage != nullptr) options_.lineage->on_crash(member);
-  if (options_.flight != nullptr) {
-    FlightRecorder::Event e;
-    e.at = now();
-    e.kind = FlightRecorder::EventKind::kCrash;
-    e.a = member.value();
-    options_.flight->record(e);
-  }
+  Event e = stamp(EventKind::kCrash, member);
+  append(e);
 }
 
 }  // namespace gridbox::obs

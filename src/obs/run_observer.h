@@ -2,12 +2,16 @@
 //
 // Implements both instrumentation interfaces the substrates expose —
 // net::NetworkObserver (transport decisions) and gossip::GossipTrace (phase
-// machine) — and fans each event into up to three outputs:
-//   - a MetricsRegistry (counters / gauges / histograms),
-//   - a TraceSink (JSONL event stream),
-//   - a PhaseTimeline (per-phase spans and message totals).
-// All three are optional; a RunObserver with nothing attached is never
-// installed (run_experiment only creates one when something wants events).
+// machine) — plus the membership crash hook. Each hook does two things:
+//   - folds the event into the run's tallies and PhaseTimeline (per-phase
+//     spans and message totals), which flush() writes into a
+//     MetricsRegistry when one is attached;
+//   - builds one obs::Event, stamped once with the simulator clock, and
+//     appends it to the run's EventLog when one is attached. The JSONL
+//     trace, the flight dump, the vote lineage and the epidemic curves are
+//     all views of that one log (src/obs/event_log.h).
+// A RunObserver with neither a registry nor a log is never installed
+// (run_experiment only creates one when something wants events).
 //
 // Gossip events chain onward to `next`, so the observer can sit behind the
 // InvariantChecker and in front of a caller-supplied trace. Per-phase
@@ -20,30 +24,23 @@
 
 #include "src/net/observer.h"
 #include "src/net/stats.h"
+#include "src/obs/event_log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/timeline.h"
-#include "src/obs/trace_sink.h"
 #include "src/protocols/gossip/trace.h"
 #include "src/sim/simulator.h"
 
 namespace gridbox::obs {
-
-class LineageTracker;
-class CurveRecorder;
-class FlightRecorder;
 
 class RunObserver final : public net::NetworkObserver,
                           public protocols::gossip::GossipTrace {
  public:
   struct Options {
     MetricsRegistry* metrics = nullptr;           ///< nullable
-    TraceSink* sink = nullptr;                    ///< nullable
-    const sim::Simulator* simulator = nullptr;    ///< clock for trace stamps
+    EventLog* events = nullptr;                   ///< nullable
+    const sim::Simulator* simulator = nullptr;    ///< clock for event stamps
     std::size_t group_size = 0;
     protocols::gossip::GossipTrace* next = nullptr;  ///< chain tail
-    LineageTracker* lineage = nullptr;            ///< nullable
-    CurveRecorder* curves = nullptr;              ///< nullable
-    FlightRecorder* flight = nullptr;             ///< nullable
   };
 
   explicit RunObserver(Options options);
@@ -60,8 +57,6 @@ class RunObserver final : public net::NetworkObserver,
   void on_phase_entered(MemberId member, std::size_t phase) override;
   void on_round_gossiped(MemberId member, std::size_t phase,
                          std::uint32_t fanout) override;
-  void on_value_learned(MemberId member, std::size_t phase,
-                        std::uint32_t index) override;
   void on_knowledge_gained(MemberId member, std::size_t phase,
                            std::uint32_t index, MemberId from,
                            std::uint32_t votes,
@@ -92,6 +87,12 @@ class RunObserver final : public net::NetworkObserver,
   static constexpr std::size_t kFanoutBuckets = 9;
 
   [[nodiscard]] SimTime now() const;
+  /// A member event of `kind`, stamped with the simulator clock.
+  [[nodiscard]] Event stamp(EventKind kind, MemberId member) const;
+  void append(const Event& event) {
+    if (options_.events != nullptr) options_.events->append(event);
+  }
+  void append_message(EventKind kind, const net::Message& message, SimTime t);
 
   Options options_;
   PhaseTimeline timeline_;

@@ -1,16 +1,19 @@
-// Structured run tracing: a JSONL event stream.
+// Structured run tracing: the JSONL view of the event log.
 //
-// Every line is one self-contained JSON object with at minimum {"t": <sim
-// time in microsecond ticks>, "ev": <event name>}; the remaining fields are
-// integers identifying the actors (member ids, phases, byte counts). The
-// stream is integer-only and emitted in simulation event order, so a replay
-// of the same (config, seed) produces byte-identical output — the trace
-// golden tests pin that property.
+// The EventLog hands every record to its TraceSink as it is appended; the
+// sink formats it as one self-contained JSON object with at minimum {"t":
+// <sim time in microsecond ticks>, "ev": <event name>} and writes it out,
+// keeping no copy of the run. The remaining fields are integers
+// identifying the actors (member ids, phases, byte counts). The stream is
+// integer-only and emitted in simulation event order, so a replay of the
+// same (config, seed) produces byte-identical output — the trace golden
+// tests pin that property.
 //
 // Event vocabulary (docs/observability.md):
 //   send / drop / dup / recv / dead / malformed   — transport decisions
 //   enter / round / learn / conclude / finish     — gossip phase machine
 //   crash                                         — membership
+// "learn" is a remote gain; local, adopted and result gains write no line.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +21,7 @@
 #include <ostream>
 #include <string>
 
-#include "src/common/types.h"
+#include "src/obs/event_log.h"
 
 namespace gridbox::obs {
 
@@ -37,17 +40,8 @@ class TraceSink {
   TraceSink& operator=(const TraceSink&) = delete;
   virtual ~TraceSink() = default;
 
-  /// Transport event over a (source, destination) pair.
-  void message_event(const char* event, SimTime t, MemberId source,
-                     MemberId destination, std::size_t bytes);
-  /// Phase-machine event at one member. Fields with value
-  /// kOmitted are left out of the line.
-  static constexpr std::int64_t kOmitted = -1;
-  void member_event(const char* event, SimTime t, MemberId member,
-                    std::int64_t phase = kOmitted,
-                    std::int64_t value = kOmitted,
-                    const char* value_key = "v",
-                    const char* detail = nullptr);
+  /// Formats one record as a JSONL line (none for a non-remote gain).
+  void write(const Event& event);
 
   [[nodiscard]] std::uint64_t lines_written() const { return lines_; }
 
@@ -56,8 +50,6 @@ class TraceSink {
   void set_stream(std::ostream& out) { out_ = &out; }
 
  private:
-  void write_line(const std::string& line);
-
   std::ostream* out_ = nullptr;
   std::uint64_t lines_ = 0;
 };

@@ -20,6 +20,7 @@
 #include "src/net/chaos.h"
 #include "src/obs/build_info.h"
 #include "src/obs/curves.h"
+#include "src/obs/event_log.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/lineage.h"
 #include "src/obs/manifest.h"
@@ -573,18 +574,28 @@ int run_cli(const CliOptions& options) {
       config.telemetry.out_path = trace_path_for_run(
           config.telemetry.out_path, run, options.runs);
     }
-    // Each run owns its trace file, so parallel runs never interleave lines.
+    // Each run owns its trace file and event log, so parallel runs never
+    // interleave lines.
     std::unique_ptr<obs::TraceSink> sink;
     if (!options.trace_out.empty()) {
       sink = obs::TraceSink::to_file(
           trace_path_for_run(options.trace_out, run, options.runs));
-      config.trace_sink = sink.get();
+    }
+    obs::EventLog::Options eopt;
+    eopt.trace = sink.get();
+    eopt.flight = !options.flight_out.empty();
+    eopt.replay = !options.lineage_out.empty() || !options.curves_out.empty();
+    eopt.group_size = config.group_size;
+    std::unique_ptr<obs::EventLog> events;
+    if (eopt.trace != nullptr || eopt.flight || eopt.replay) {
+      events = std::make_unique<obs::EventLog>(eopt);
+      config.events = events.get();
     }
     std::unique_ptr<obs::LineageTracker> lineage;
     if (!options.lineage_out.empty()) {
       obs::LineageTracker::Options lopt;
       lopt.group_size = config.group_size;
-      lineage = std::make_unique<obs::LineageTracker>(lopt);
+      lineage = std::make_unique<obs::LineageTracker>(*events, lopt);
       config.lineage = lineage.get();
     }
     std::unique_ptr<obs::CurveRecorder> curves;
@@ -592,23 +603,23 @@ int run_cli(const CliOptions& options) {
       obs::CurveRecorder::Options copt;
       copt.round_us =
           static_cast<std::uint64_t>(config.round_duration().ticks());
-      curves = std::make_unique<obs::CurveRecorder>(copt);
+      curves = std::make_unique<obs::CurveRecorder>(*events, copt);
       config.curves = curves.get();
     }
     std::unique_ptr<obs::FlightRecorder> flight;
-    if (!options.flight_out.empty()) {
+    if (eopt.flight) {
       obs::FlightRecorder::Options fopt;
       fopt.config_text = config_canonical_text(config);
       fopt.chaos_spec = config.chaos_spec;
       fopt.seed = config.seed;
-      flight = std::make_unique<obs::FlightRecorder>(fopt);
-      config.flight = flight.get();
+      flight = std::make_unique<obs::FlightRecorder>(*events, fopt);
     }
     try {
       results[run] = run_experiment(config);
     } catch (const InvariantError&) {
-      // The ring holds the events leading up to the violation plus the
-      // config and chaos spec needed to replay it; dump before unwinding.
+      // The flight recorder holds the log's tail leading up to the violation
+      // plus the config and chaos spec needed to replay it; dump before
+      // unwinding.
       if (flight != nullptr) {
         const std::string path =
             trace_path_for_run(options.flight_out, run, options.runs);

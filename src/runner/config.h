@@ -17,10 +17,9 @@
 #include "src/protocols/gossip/gossip_config.h"
 
 namespace gridbox::obs {
-class TraceSink;
+class EventLog;
 class LineageTracker;
 class CurveRecorder;
-class FlightRecorder;
 }  // namespace gridbox::obs
 
 namespace gridbox::runner {
@@ -96,25 +95,19 @@ struct ExperimentConfig {
   /// pure function of (config, seed) — bitwise-identical at any `jobs`.
   bool collect_metrics = false;
 
-  /// Structured JSONL trace sink for this run (non-owning; may be null).
-  /// One sink serves one run: sweeps leave this null and per-run tracing is
-  /// wired by the caller that owns the sink (see cli --trace-out).
-  obs::TraceSink* trace_sink = nullptr;
+  /// The run's event log (non-owning; may be null). run_experiment stamps
+  /// every transport, phase-machine and crash event once and appends it;
+  /// the JSONL trace, the flight dump, lineage and curves are views of it
+  /// (see cli --trace-out / --flight-recorder / --lineage / --curves-out).
+  /// One log serves one run: sweeps leave this null.
+  obs::EventLog* events = nullptr;
 
-  /// Causal vote-lineage tracker for this run (non-owning; may be null).
-  /// run_experiment installs the run clock and feeds it every knowledge-gain
-  /// / conclude / finish / crash event (see cli --lineage).
+  /// Views of `events` that need the run's hierarchy (non-owning; may be
+  /// null; each must read `events`). run_experiment captures the grid-box
+  /// addresses into the lineage view and the protocol-aware denominators
+  /// and analytic model parameters into the curves view.
   obs::LineageTracker* lineage = nullptr;
-
-  /// Epidemic-curve recorder for this run (non-owning; may be null).
-  /// run_experiment installs the run clock, protocol-aware denominators and
-  /// the analytic model parameters (see cli --curves-out).
   obs::CurveRecorder* curves = nullptr;
-
-  /// Flight recorder for this run (non-owning; may be null). Receives every
-  /// transport + phase-machine event into a bounded ring; the CLI dumps it
-  /// when a run throws InvariantError (see cli --flight-recorder).
-  obs::FlightRecorder* flight = nullptr;
 
   /// Live telemetry sampling (src/obs/telemetry.h): when enabled, a
   /// control-thread sampler reads every shard's always-on lanes (one shard

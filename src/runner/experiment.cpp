@@ -14,10 +14,8 @@
 #include "src/net/chaos.h"
 #include "src/net/network.h"
 #include "src/obs/curves.h"
-#include "src/obs/flight_recorder.h"
 #include "src/obs/lineage.h"
 #include "src/obs/run_observer.h"
-#include "src/obs/trace_sink.h"
 #include "src/protocols/gossip/hier_gossip.h"
 #include "src/protocols/invariant_checker.h"
 #include "src/sim/simulator.h"
@@ -192,32 +190,29 @@ RunResult run_experiment(const ExperimentConfig& config) {
   // state and snapshots merge deterministically in slot order afterwards.
   std::unique_ptr<obs::MetricsRegistry> metrics;
   std::unique_ptr<obs::RunObserver> observer;
-  if (config.collect_metrics || config.trace_sink != nullptr ||
-      config.lineage != nullptr || config.curves != nullptr ||
-      config.flight != nullptr) {
+  if (config.collect_metrics || config.events != nullptr) {
     if (config.collect_metrics) {
       metrics = std::make_unique<obs::MetricsRegistry>();
     }
     obs::RunObserver::Options oopt;
     oopt.metrics = metrics.get();
-    oopt.sink = config.trace_sink;
+    oopt.events = config.events;
     oopt.simulator = &simulator;
     oopt.group_size = config.group_size;
     oopt.next = config.gossip.trace;
-    oopt.lineage = config.lineage;
-    oopt.curves = config.curves;
-    oopt.flight = config.flight;
     observer = std::make_unique<obs::RunObserver>(oopt);
     network.set_observer(observer.get());
     group.set_crash_listener(
         [&observer](MemberId m) { observer->on_crash(m); });
   }
   if (config.lineage != nullptr) {
-    config.lineage->set_clock(&simulator);
+    expects(&config.lineage->log() == config.events,
+            "lineage must read the run's event log");
     config.lineage->capture_hierarchy(hier);
   }
   if (config.curves != nullptr) {
-    config.curves->set_clock(&simulator);
+    expects(&config.curves->log() == config.events,
+            "curves must read the run's event log");
     configure_curves(*config.curves, config, hier, group);
   }
 
@@ -387,10 +382,6 @@ RunResult run_experiment(const ExperimentConfig& config) {
     result.metrics = metrics->snapshot();
   }
   if (observer != nullptr) result.timeline = observer->timeline();
-  // The run clock dies with this frame; detach it so the caller-owned
-  // trackers cannot dangle.
-  if (config.lineage != nullptr) config.lineage->set_clock(nullptr);
-  if (config.curves != nullptr) config.curves->set_clock(nullptr);
   if (group.has_positions() && result.network.messages_sent > 0) {
     result.mean_link_distance =
         result.network.link_distance_sum /

@@ -7,6 +7,7 @@
 #include "src/common/ensure.h"
 #include "src/hashing/fair_hash.h"
 #include "src/net/network.h"
+#include "src/obs/lineage.h"
 #include "src/runner/world_setup.h"
 
 namespace gridbox::service {
@@ -133,7 +134,7 @@ void ServiceEngine::fan_crash(MemberId member) {
   for (auto& [id, inst] : live_) {
     if (inst->state == State::kRunning && inst->group.is_alive(member)) {
       inst->group.crash(member);
-      if (inst->lineage) inst->lineage->on_crash(member);
+      if (inst->observer) inst->observer->on_crash(member);
     }
   }
 }
@@ -219,19 +220,23 @@ void ServiceEngine::launch(std::uint32_t id) {
   inst->launched_at = now;
   inst->deadline = now + instance_deadline_;
 
-  // Observability chain: node -> checker -> lineage (the checker forwards
-  // before checking, so lineage keeps the offending event too).
+  // Observability chain: node -> checker -> observer (the checker forwards
+  // before checking, so the log keeps the offending event too).
   runner::ExperimentConfig node_config = xc;
   node_config.gossip.trace = nullptr;
   protocols::gossip::GossipTrace* tail = nullptr;
   if (config_.collect_lineage && substrate_.sim_clock != nullptr &&
       xc.protocol == runner::ProtocolKind::kHierGossip) {
-    obs::LineageTracker::Options lopt;
-    lopt.group_size = xc.group_size;
-    lopt.simulator = substrate_.sim_clock;
-    inst->lineage = std::make_unique<obs::LineageTracker>(lopt);
-    inst->lineage->capture_hierarchy(*inst->hier);
-    tail = inst->lineage.get();
+    obs::EventLog::Options eopt;
+    eopt.replay = true;
+    eopt.group_size = xc.group_size;
+    inst->events = std::make_unique<obs::EventLog>(eopt);
+    obs::RunObserver::Options oopt;
+    oopt.events = inst->events.get();
+    oopt.simulator = substrate_.sim_clock;
+    oopt.group_size = xc.group_size;
+    inst->observer = std::make_unique<obs::RunObserver>(oopt);
+    tail = inst->observer.get();
   }
   if (xc.check_invariants && xc.protocol == runner::ProtocolKind::kHierGossip) {
     protocols::InvariantChecker::Config icfg;
@@ -393,13 +398,20 @@ void ServiceEngine::finalize(Instance& inst, bool teardown) {
       protocols::measure_run(inst.group, inst.nodes, inst.votes,
                              config_.experiment.aggregate, row.network,
                              inst.audit.get());
-  if (inst.lineage) row.lineage_json = inst.lineage->to_json();
+  if (inst.events) {
+    obs::LineageTracker::Options lopt;
+    lopt.group_size = config_.experiment.group_size;
+    obs::LineageTracker lineage(*inst.events, lopt);
+    lineage.capture_hierarchy(*inst.hier);
+    row.lineage_json = lineage.to_json();
+  }
   results_.push_back(std::move(row));
   if (teardown) {
     inst.nodes.clear();
     inst.sender.reset();
     inst.checker.reset();
-    inst.lineage.reset();
+    inst.observer.reset();
+    inst.events.reset();
     arena_pool_.push_back(std::move(inst.arena));
   }
 }

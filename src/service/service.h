@@ -57,7 +57,8 @@
 #include "src/membership/group.h"
 #include "src/net/chaos.h"
 #include "src/net/stats.h"
-#include "src/obs/lineage.h"
+#include "src/obs/event_log.h"
+#include "src/obs/run_observer.h"
 #include "src/protocols/arena.h"
 #include "src/protocols/invariant_checker.h"
 #include "src/protocols/node.h"
@@ -94,8 +95,8 @@ struct ServiceConfig {
   double deadline_factor = 20.0;
   SimTime min_deadline = SimTime::seconds(5);
 
-  /// Attach a per-instance LineageTracker (simulator substrate only) and
-  /// return its JSON per instance — input of `gridbox_explain --instance`.
+  /// Record each instance's events (simulator substrate only) and return
+  /// their lineage JSON per instance — input of `gridbox_explain --instance`.
   bool collect_lineage = false;
 };
 
@@ -240,7 +241,9 @@ class ServiceEngine {
     std::unique_ptr<hierarchy::GridBoxHierarchy> hier;
     std::unique_ptr<agg::AuditRegistry> audit;
     std::unique_ptr<protocols::StateArena> arena;
-    std::unique_ptr<obs::LineageTracker> lineage;
+    /// The instance's event log and its appender (collect_lineage only).
+    std::unique_ptr<obs::EventLog> events;
+    std::unique_ptr<obs::RunObserver> observer;
     std::unique_ptr<protocols::InvariantChecker> checker;
     std::unique_ptr<InstanceSender> sender;
     std::vector<std::unique_ptr<protocols::ProtocolNode>> nodes;

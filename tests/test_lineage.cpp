@@ -1,4 +1,5 @@
-// Causal vote lineage, empirical epidemic curves, and the flight recorder.
+// Causal vote lineage, empirical epidemic curves, and the flight recorder:
+// the replay and tail views of the run's event log.
 //
 // The headline guarantee: the lineage tracker reconstructs every member's
 // dissemination tree from knowledge-gain events alone, and the completeness
@@ -13,11 +14,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/obs/curves.h"
+#include "src/obs/event_log.h"
 #include "src/obs/flight_recorder.h"
 #include "src/obs/json.h"
 #include "src/obs/lineage.h"
+#include "src/obs/trace_sink.h"
 #include "src/runner/config.h"
 #include "src/runner/experiment.h"
 
@@ -25,6 +29,9 @@ namespace gridbox {
 namespace {
 
 using obs::CurveRecorder;
+using obs::Event;
+using obs::EventKind;
+using obs::EventLog;
 using obs::FlightRecorder;
 using obs::JsonValue;
 using obs::LineageTracker;
@@ -50,10 +57,20 @@ ExperimentConfig chaos_world(ProtocolKind protocol) {
   return config;
 }
 
+/// An event log armed for the replay views (lineage, curves).
+EventLog::Options replay_log(const ExperimentConfig& config) {
+  EventLog::Options eopt;
+  eopt.replay = true;
+  eopt.group_size = config.group_size;
+  return eopt;
+}
+
 void expect_lineage_explains_run(ExperimentConfig config) {
+  EventLog events(replay_log(config));
   LineageTracker::Options lopt;
   lopt.group_size = config.group_size;
-  LineageTracker lineage(lopt);
+  LineageTracker lineage(events, lopt);
+  config.events = &events;
   config.lineage = &lineage;
   const RunResult result = runner::run_experiment(config);
 
@@ -104,9 +121,11 @@ TEST(Lineage, ExplainsLossyCrashyHierWorld) {
 
 TEST(Lineage, JsonDocumentCarriesForestAndAddresses) {
   ExperimentConfig config = chaos_world(ProtocolKind::kHierGossip);
+  EventLog events(replay_log(config));
   LineageTracker::Options lopt;
   lopt.group_size = config.group_size;
-  LineageTracker lineage(lopt);
+  LineageTracker lineage(events, lopt);
+  config.events = &events;
   config.lineage = &lineage;
   (void)runner::run_experiment(config);
 
@@ -143,9 +162,11 @@ ExperimentConfig curves_config() {
 
 std::string record_curves_json(const ExperimentConfig& base) {
   ExperimentConfig config = base;
+  EventLog events(replay_log(config));
   CurveRecorder::Options copt;
   copt.round_us = static_cast<std::uint64_t>(config.round_duration().ticks());
-  CurveRecorder curves(copt);
+  CurveRecorder curves(events, copt);
+  config.events = &events;
   config.curves = &curves;
   (void)runner::run_experiment(config);
   return curves.to_json();
@@ -230,56 +251,127 @@ TEST(Curves, BaselineDocumentsHaveNoAnalyticOverlay) {
 // ---------------------------------------------------------------------------
 // Flight recorder.
 
-FlightRecorder::Event crash_event(std::uint64_t t, std::uint32_t member) {
-  FlightRecorder::Event e;
+Event crash_event(std::uint64_t t, std::uint32_t member) {
+  Event e;
   e.at = SimTime::micros(static_cast<SimTime::underlying>(t));
-  e.kind = FlightRecorder::EventKind::kCrash;
+  e.kind = EventKind::kCrash;
   e.a = member;
   return e;
 }
 
 TEST(FlightRecorderTest, RingKeepsTheTailOldestFirst) {
+  EventLog::Options eopt;
+  eopt.flight = true;
+  EventLog events(eopt);
   FlightRecorder::Options fopt;
-  fopt.capacity = 4;
   fopt.config_text = "proto=hier-gossip n=8";
   fopt.chaos_spec = "loss 0.5";
   fopt.seed = 42;
-  FlightRecorder flight(fopt);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    flight.record(crash_event(i, static_cast<std::uint32_t>(i)));
+  FlightRecorder flight(events, fopt);
+  constexpr std::uint64_t kTail = EventLog::kFlightTail;
+  for (std::uint64_t i = 0; i < kTail + 6; ++i) {
+    events.append(crash_event(i, static_cast<std::uint32_t>(i)));
   }
-  EXPECT_EQ(flight.total_recorded(), 10u);
-  EXPECT_EQ(flight.kept(), 4u);
+  EXPECT_EQ(flight.total_recorded(), kTail + 6);
+  EXPECT_EQ(flight.kept(), kTail);
+  EXPECT_EQ(events.size(), kTail);  // a ring: the run is not kept
 
   const std::string dump = flight.dump();
   EXPECT_NE(dump.find("gridbox-flight/1"), std::string::npos);
   EXPECT_NE(dump.find("seed 42"), std::string::npos);
-  EXPECT_NE(dump.find("events_recorded 10"), std::string::npos);
-  EXPECT_NE(dump.find("events_kept 4"), std::string::npos);
+  EXPECT_NE(dump.find("events_recorded " + std::to_string(kTail + 6)),
+            std::string::npos);
+  EXPECT_NE(dump.find("events_kept " + std::to_string(kTail)),
+            std::string::npos);
   EXPECT_NE(dump.find("proto=hier-gossip n=8"), std::string::npos);
   EXPECT_NE(dump.find("loss 0.5"), std::string::npos);
-  // Events 0..5 were evicted; 6..9 remain, oldest first.
-  EXPECT_EQ(dump.find("crash m=5"), std::string::npos);
+  // Events 0..5 were evicted; 6..kTail+5 remain, oldest first.
+  EXPECT_EQ(dump.find("crash m=5\n"), std::string::npos);
   const std::size_t tail = dump.find("--- tail ---");
   ASSERT_NE(tail, std::string::npos);
-  EXPECT_LT(dump.find("t=6us crash m=6"), dump.find("t=7us crash m=7"));
-  EXPECT_LT(dump.find("t=8us crash m=8"), dump.find("t=9us crash m=9"));
+  EXPECT_EQ(dump.find("t=6us crash m=6\n"), tail + 13);
+  EXPECT_LT(dump.find("t=6us crash m=6\n"), dump.find("t=7us crash m=7\n"));
+  EXPECT_LT(dump.find("t=8us crash m=8\n"), dump.find("t=9us crash m=9\n"));
 }
 
 TEST(FlightRecorderTest, CapturesARunsEventStream) {
   ExperimentConfig config = curves_config();
+  EventLog::Options eopt;
+  eopt.flight = true;
+  EventLog events(eopt);
   FlightRecorder::Options fopt;
   fopt.config_text = runner::config_canonical_text(config);
   fopt.chaos_spec = config.chaos_spec;
   fopt.seed = config.seed;
-  FlightRecorder flight(fopt);
-  config.flight = &flight;
+  FlightRecorder flight(events, fopt);
+  config.events = &events;
   (void)runner::run_experiment(config);
   EXPECT_GT(flight.total_recorded(), 0u);
   const std::string dump = flight.dump();
   EXPECT_NE(dump.find("gain"), std::string::npos);
   EXPECT_NE(dump.find("conclude"), std::string::npos);
   EXPECT_NE(dump.find("finish"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Every output armed at once: they are views of one log, so they agree.
+
+TEST(EventViews, TraceFlightLineageAndCurvesReadOneLog) {
+  ExperimentConfig config = chaos_world(ProtocolKind::kHierGossip);
+  std::ostringstream jsonl;
+  obs::TraceSink sink(jsonl);
+  EventLog::Options eopt = replay_log(config);
+  eopt.trace = &sink;
+  eopt.flight = true;
+  EventLog events(eopt);
+  LineageTracker::Options lopt;
+  lopt.group_size = config.group_size;
+  LineageTracker lineage(events, lopt);
+  CurveRecorder::Options copt;
+  copt.round_us = static_cast<std::uint64_t>(config.round_duration().ticks());
+  CurveRecorder curves(events, copt);
+  FlightRecorder flight(events, FlightRecorder::Options{});
+  config.events = &events;
+  config.lineage = &lineage;
+  config.curves = &curves;
+  const RunResult result = runner::run_experiment(config);
+  ASSERT_TRUE(lineage.errors().empty()) << lineage.errors().front();
+  EXPECT_EQ(lineage.completeness_bp(),
+            static_cast<std::uint64_t>(
+                result.measurement.mean_completeness * 10'000.0 + 0.5));
+
+  // Flight: the last kept() records of the (flat) log, oldest first.
+  const std::vector<Event>& records = events.records();
+  ASSERT_EQ(flight.kept(), EventLog::kFlightTail);
+  ASSERT_GT(records.size(), flight.kept());
+  const std::vector<Event> tail = flight.tail();
+  ASSERT_EQ(tail.size(), flight.kept());
+  for (std::size_t i = 0; i < tail.size(); ++i) {
+    const Event& want = records[records.size() - tail.size() + i];
+    EXPECT_TRUE(tail[i] == want) << i;
+  }
+
+  // Trace: one "learn" line per remote gain, as many as lineage's
+  // remote-gain nodes.
+  std::size_t learn_lines = 0;
+  std::istringstream lines(jsonl.str());
+  std::string line;
+  while (std::getline(lines, line)) {
+    learn_lines += line.find("\"ev\":\"learn\"") != std::string::npos;
+  }
+  std::size_t remote_nodes = 0;
+  for (const LineageTracker::Node& node : lineage.nodes()) {
+    remote_nodes += node.op == LineageTracker::NodeOp::kGainRemote;
+  }
+  EXPECT_GT(learn_lines, 0u);
+  EXPECT_EQ(learn_lines, remote_nodes);
+
+  // Curves: every gain record, of every kind.
+  std::uint64_t gains = 0;
+  for (const Event& e : records) gains += e.kind == EventKind::kGain;
+  EXPECT_EQ(curves.total_gains(), gains);
+  EXPECT_EQ(sink.lines_written(),
+            records.size() - (gains - remote_nodes));
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "src/obs/json.h"
 #include "src/obs/manifest.h"
 #include "src/obs/trace_sink.h"
+#include "src/protocols/gossip/trace.h"
 #include "src/runner/cli.h"
 #include "src/runner/config.h"
 #include "src/runner/experiment.h"
@@ -22,6 +23,8 @@ namespace {
 
 using obs::BenchEntry;
 using obs::BenchReport;
+using obs::Event;
+using obs::EventKind;
 using obs::JsonValue;
 using obs::JsonWriter;
 using obs::TraceSink;
@@ -68,14 +71,32 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW((void)obs::json_parse(""), PreconditionError);
 }
 
+Event record(EventKind kind, std::int64_t t, std::uint32_t a) {
+  Event e;
+  e.at = SimTime::micros(t);
+  e.kind = kind;
+  e.a = a;
+  return e;
+}
+
 TEST(TraceSinkTest, LineFormatsAreIntegerOnlyAndStable) {
   std::ostringstream out;
   TraceSink sink(out);
-  sink.message_event("send", SimTime::micros(12), MemberId{3}, MemberId{7},
-                     21);
-  sink.member_event("conclude", SimTime::micros(40), MemberId{5}, 2, 4,
-                    "votes", "timeout");
-  sink.member_event("crash", SimTime::micros(50), MemberId{9});
+  Event send = record(EventKind::kSend, 12, 3);
+  send.b = 7;
+  send.value = 21;
+  sink.write(send);
+  Event conclude = record(EventKind::kConcluded, 40, 5);
+  conclude.phase = 2;
+  conclude.votes = 4;
+  conclude.aux = static_cast<std::uint8_t>(
+      protocols::gossip::PhaseEnd::kTimeout);
+  sink.write(conclude);
+  sink.write(record(EventKind::kCrash, 50, 9));
+  // Only remote gains are traced ("learn"); a local seed writes no line.
+  Event local = record(EventKind::kGain, 60, 1);
+  local.aux = static_cast<std::uint8_t>(protocols::gossip::GainKind::kLocal);
+  sink.write(local);
   EXPECT_EQ(out.str(),
             "{\"t\":12,\"ev\":\"send\",\"src\":3,\"dst\":7,\"bytes\":21}\n"
             "{\"t\":40,\"ev\":\"conclude\",\"m\":5,\"phase\":2,\"votes\":4,"
@@ -87,8 +108,16 @@ TEST(TraceSinkTest, LineFormatsAreIntegerOnlyAndStable) {
 TEST(TraceSinkTest, EveryLineParsesAsJson) {
   std::ostringstream out;
   TraceSink sink(out);
-  sink.message_event("drop", SimTime::micros(1), MemberId{0}, MemberId{1}, 9);
-  sink.member_event("round", SimTime::micros(2), MemberId{1}, 1, 2, "fanout");
+  for (std::uint8_t k = 0; k <= static_cast<std::uint8_t>(EventKind::kCrash);
+       ++k) {
+    Event e = record(static_cast<EventKind>(k), k, 1);
+    e.b = 2;
+    e.phase = 1;
+    e.value = 3;
+    e.votes = 4;
+    sink.write(e);
+  }
+  EXPECT_EQ(sink.lines_written(), 12u);
   std::istringstream lines(out.str());
   std::string line;
   while (std::getline(lines, line)) {
@@ -124,8 +153,11 @@ ExperimentConfig golden_config() {
 std::string record_jsonl_trace() {
   std::ostringstream out;
   TraceSink sink(out);
+  obs::EventLog::Options eopt;
+  eopt.trace = &sink;
+  obs::EventLog events(eopt);
   ExperimentConfig config = golden_config();
-  config.trace_sink = &sink;
+  config.events = &events;
   (void)runner::run_experiment(config);
   return out.str();
 }

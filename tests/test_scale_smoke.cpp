@@ -7,6 +7,7 @@
 // completeness must equal the protocol's own gauge bit for bit.
 #include <gtest/gtest.h>
 
+#include "src/obs/event_log.h"
 #include "src/obs/lineage.h"
 #include "src/runner/experiment.h"
 
@@ -22,9 +23,14 @@ TEST(ScaleSmoke, HierGossip100kAuditAndLineageClean) {
   config.collect_metrics = true;
   config.seed = 20010701;
 
+  obs::EventLog::Options eopt;
+  eopt.replay = true;
+  eopt.group_size = config.group_size;
+  obs::EventLog events(eopt);
   obs::LineageTracker::Options lopt;
   lopt.group_size = config.group_size;
-  obs::LineageTracker lineage(lopt);
+  obs::LineageTracker lineage(events, lopt);
+  config.events = &events;
   config.lineage = &lineage;
 
   const runner::RunResult r = runner::run_experiment(config);

@@ -157,7 +157,8 @@ TEST(DatagramFuzz, ReceivePathAccountsForEveryFuzzedBuffer) {
   net::UdpTransport::Hooks hooks;
   hooks.recv = [&pending](int, void* buf, std::size_t len) -> ssize_t {
     const std::size_t n = std::min(len, pending.size());
-    std::memcpy(buf, pending.data(), n);
+    // An empty buffer's data() may be null, which memcpy must never see.
+    if (n > 0) std::memcpy(buf, pending.data(), n);
     return static_cast<ssize_t>(n);
   };
   transport.set_hooks(std::move(hooks));

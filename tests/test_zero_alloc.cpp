@@ -24,6 +24,7 @@
 #include "src/net/latency_model.h"
 #include "src/net/message.h"
 #include "src/net/network.h"
+#include "src/obs/event_log.h"
 #include "src/obs/telemetry.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
@@ -236,6 +237,35 @@ TEST(ZeroAlloc, TelemetryRecordPathDoesNotTouchTheHeap) {
   EXPECT_GT(lane.timers_fired.load(std::memory_order_relaxed), 0u);
   EXPECT_GT(lane.timer_lateness_us.total(), 0u);
   EXPECT_GT(lane.queue_depth_hw.load(std::memory_order_relaxed), 0u);
+}
+
+TEST(ZeroAlloc, FullEventRingAppendDoesNotTouchTheHeap) {
+  // The flight-recorder claim (src/obs/event_log.h): once the bounded ring
+  // holds its kFlightTail records, an append is a slot write.
+  obs::EventLog::Options eopt;
+  eopt.flight = true;
+  obs::EventLog events(eopt);
+  ASSERT_FALSE(events.flat());
+  obs::Event e;
+  e.kind = obs::EventKind::kDeliver;
+  for (std::size_t i = 0; i < obs::EventLog::kFlightTail; ++i) {
+    events.append(e);
+  }
+
+  const std::uint64_t before = heap_allocs();
+  for (std::uint32_t i = 0; i < 10'000; ++i) {
+    e.at = SimTime::micros(i);
+    e.kind = static_cast<obs::EventKind>(i % 12);
+    e.a = i;
+    events.append(e);
+  }
+  const std::uint64_t after = heap_allocs();
+
+  EXPECT_EQ(after - before, 0u)
+      << "full-ring appends allocated " << (after - before) << " time(s)";
+  EXPECT_EQ(events.size(), obs::EventLog::kFlightTail);
+  EXPECT_EQ(events.total(), obs::EventLog::kFlightTail + 10'000);
+  EXPECT_EQ(events.at(events.size() - 1).a, 9'999u);  // newest last
 }
 
 TEST(ZeroAlloc, CountingShimIsLive) {

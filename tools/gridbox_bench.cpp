@@ -37,6 +37,7 @@
 #include "src/obs/bench_io.h"
 #include "src/obs/build_info.h"
 #include "src/obs/curves.h"
+#include "src/obs/event_log.h"
 #include "src/obs/lineage.h"
 #include "src/obs/perf_counters.h"
 #include "src/obs/telemetry.h"
@@ -468,25 +469,30 @@ int run_obs_overhead(std::uint64_t repeats, double threshold_pct) {
     (void)gridbox::runner::run_experiment(instrumented);
     return elapsed_s(start);
   };
+  gridbox::obs::EventLog::Options eopt;
+  eopt.replay = true;
+  eopt.group_size = instrumented.group_size;
+  gridbox::obs::LineageTracker::Options lopt;
+  lopt.group_size = instrumented.group_size;
+  gridbox::obs::CurveRecorder::Options copt;
+  copt.round_us =
+      static_cast<std::uint64_t>(instrumented.round_duration().ticks());
   const auto timed_lineage = [&] {
-    gridbox::obs::LineageTracker::Options lopt;
-    lopt.group_size = instrumented.group_size;
-    gridbox::obs::LineageTracker lineage(lopt);
+    gridbox::obs::EventLog events(eopt);
+    gridbox::obs::LineageTracker lineage(events, lopt);
     ExperimentConfig config = instrumented;
+    config.events = &events;
     config.lineage = &lineage;
     const auto start = std::chrono::steady_clock::now();
     (void)gridbox::runner::run_experiment(config);
     return elapsed_s(start);
   };
   const auto timed_full = [&] {
-    gridbox::obs::LineageTracker::Options lopt;
-    lopt.group_size = instrumented.group_size;
-    gridbox::obs::LineageTracker lineage(lopt);
-    gridbox::obs::CurveRecorder::Options copt;
-    copt.round_us =
-        static_cast<std::uint64_t>(instrumented.round_duration().ticks());
-    gridbox::obs::CurveRecorder curves(copt);
+    gridbox::obs::EventLog events(eopt);
+    gridbox::obs::LineageTracker lineage(events, lopt);
+    gridbox::obs::CurveRecorder curves(events, copt);
     ExperimentConfig config = instrumented;
+    config.events = &events;
     config.lineage = &lineage;
     config.curves = &curves;
     const auto start = std::chrono::steady_clock::now();
