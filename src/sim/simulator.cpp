@@ -19,7 +19,7 @@ void Simulator::schedule_after(SimTime delay, Action action) {
 void Simulator::schedule_frame_after(SimTime delay, const net::Message& message,
                                      FrameSink& sink) {
   expects(delay.ticks() >= 0, "negative delay");
-  queue_.push(now_ + delay, DeliverFrame{message, &sink});
+  queue_.emplace(now_ + delay).emplace<DeliverFrame>(message, &sink);
 }
 
 namespace {
@@ -86,15 +86,19 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
 bool Simulator::step() {
   if (queue_.empty()) return false;
   telemetry_.note_queue_depth(queue_.size());
-  Event event = queue_.pop();
+  // The event fires inside its queue slot: pushes made while it runs never
+  // move it (the slab grows by fixed chunks), and the slot is recycled only
+  // once it is done.
+  const EventQueue::SlotId slot = queue_.pop_slot();
+  Event& event = queue_.body(slot);
   ensures(event.time >= now_, "event queue returned an event from the past");
   now_ = event.time;
   ++executed_;
-  execute(event);
+  execute(event, slot);
   return true;
 }
 
-void Simulator::execute(Event& event) {
+void Simulator::execute(Event& event, EventQueue::SlotId slot) {
   if (auto* action = std::get_if<Action>(&event.work)) {
     net::bump(telemetry_.actions_run);
     (*action)();
@@ -110,9 +114,11 @@ void Simulator::execute(Event& event) {
     telemetry_.note_timer_fired(0);
     const bool again = timer.target->on_timer(timer.timer_id);
     if (again && timer.interval.ticks() > 0) {
-      queue_.push(now_ + timer.interval, std::move(event.work));
+      queue_.relink(slot, now_ + timer.interval);  // the body stays put
+      return;
     }
   }
+  queue_.release(slot);
 }
 
 }  // namespace gridbox::sim

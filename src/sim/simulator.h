@@ -108,7 +108,10 @@ class Simulator final : public Scheduler {
   }
 
  private:
-  void execute(Event& event);
+  /// Fires `event`, held in popped queue slot `slot`, then releases the
+  /// slot or relinks it (periodic re-arm). If the work throws, the slot is
+  /// not recycled; the queue still owns and destroys it.
+  void execute(Event& event, EventQueue::SlotId slot);
 
   SimTime now_ = SimTime::zero();
   EventQueue queue_;

@@ -6,6 +6,9 @@
 // regression slipped in.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "src/runner/experiment.h"
 
 namespace gridbox {
@@ -84,6 +87,27 @@ TEST(RegressionGolden, ConfigFieldChangesChangeTheRun) {
   EXPECT_NE(r0.measurement.network_messages,
             r_crash.measurement.network_messages);
   EXPECT_LT(r_crash.measurement.survivors, r0.measurement.survivors);
+}
+
+TEST(RegressionGolden, HierGossipN1000ChaosFingerprint) {
+  // A run deep and long enough to wrap the simulator's event-queue ring
+  // many times, with duplicates landing up to 500 us behind their
+  // originals and crashes on the round clock. The golden traces (N = 32)
+  // never fill the queue this far; these values were recorded before the
+  // queue became a calendar queue and must not move with its internals.
+  ExperimentConfig config;
+  config.group_size = 1000;
+  config.crash_probability = 0.01;
+  config.chaos_spec = "loss 0.2\ndup p=0.2 extra=1 spread=500us";
+  config.seed = 17;
+  const RunResult r = run_experiment(config);
+  EXPECT_EQ(r.sim_events, 114451u);
+  EXPECT_EQ(r.network.messages_sent, 77464u);
+  EXPECT_EQ(r.network.messages_delivered, 59421u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.measurement.mean_completeness),
+            0x3fefb198458573c3u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.measurement.min_completeness),
+            0x3fef9db22d0e5604u);
 }
 
 }  // namespace

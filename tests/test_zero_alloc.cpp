@@ -4,9 +4,10 @@
 // asserts that the steady-state transport path — send -> event queue ->
 // deliver_frame -> on_message — and the typed periodic-timer re-arm path
 // execute without touching the heap once warmed up. Warm-up is allowed to
-// allocate: the event-queue slab, the key heap, and the endpoint map all
-// grow to their high-water mark there. After that, every per-message and
-// per-tick structure is either inline (net::Frame, sim::Event) or reused.
+// allocate: the event-queue slab chunks, its overflow heap, and the
+// endpoint map all grow to their high-water mark there. After that, every
+// per-message and per-tick structure is either inline (net::Frame,
+// sim::Event) or reused.
 //
 // Kept as a separate test executable so the operator-new override cannot
 // perturb the main suite.
@@ -237,6 +238,68 @@ TEST(ZeroAlloc, TelemetryRecordPathDoesNotTouchTheHeap) {
   EXPECT_GT(lane.timers_fired.load(std::memory_order_relaxed), 0u);
   EXPECT_GT(lane.timer_lateness_us.total(), 0u);
   EXPECT_GT(lane.queue_depth_hw.load(std::memory_order_relaxed), 0u);
+}
+
+TEST(ZeroAlloc, OverflowTimersAndEmptyRingSlicesDoNotTouchTheHeap) {
+  // The event queue's two paths together: re-arming timers whose period is
+  // longer than the ring span live in the overflow heap, and every burst
+  // drains before its run_until slice ends, so each measured slice starts
+  // on an empty ring with the clock ahead of the latest pop. Bursts must
+  // still land in the ring, not in the overflow heap. To prove it, the
+  // warm-up keeps the ring busy with two interleaved tickers, so the ring
+  // is never empty there and only the measured window meets the pattern.
+  sim::Simulator sim;
+  const obs::TelemetryLane& lane = sim.telemetry();
+  net::SimNetwork network(sim, std::make_unique<net::NoLoss>(),
+                          std::make_unique<net::ConstantLatency>(SimTime{5}),
+                          Rng{42});
+  DecodingSink left;
+  DecodingSink right;
+  network.attach(MemberId{1}, left);
+  network.attach(MemberId{2}, right);
+  constexpr auto kSpan =
+      static_cast<SimTime::underlying>(sim::EventQueue::kRingSpan);
+  TickUntil slow(1u << 20);
+  TickUntil slower(1u << 20);
+  // Every 5 us between them, done before the window opens.
+  TickUntil ticker(3'990);
+  TickUntil offset_ticker(3'990);
+  sim.schedule_periodic(SimTime{0}, SimTime{kSpan + 1'000}, slow);
+  sim.schedule_periodic(SimTime{0}, SimTime{2 * kSpan + 7}, slower);
+  sim.schedule_periodic(SimTime{0}, SimTime{10}, ticker);
+  sim.schedule_periodic(SimTime{5}, SimTime{10}, offset_ticker);
+
+  agg::ByteWriter w;
+  w.u8(7);
+  w.u64(0xfeedfaceULL);
+  const net::Frame frame = w.take();
+
+  const auto burst = [&](int messages) {
+    for (int i = 0; i < messages; ++i) {
+      network.send(net::Message{MemberId{1}, MemberId{2}, frame});
+      network.send(net::Message{MemberId{2}, MemberId{1}, frame});
+    }
+    (void)sim.run_until(sim.now() + SimTime{1000});
+  };
+
+  // Warm-up: 40 ms, past both slow timers' first re-arms into the overflow
+  // heap and past the tickers' last ticks.
+  for (int round = 0; round < 40; ++round) burst(64);
+  ASSERT_EQ(ticker.ticks() + offset_ticker.ticks(), 2u * 3'990u);
+
+  const std::uint64_t fired_before =
+      lane.timers_fired.load(std::memory_order_relaxed);
+  const std::uint64_t before = heap_allocs();
+  for (int round = 0; round < 200; ++round) burst(32);
+  const std::uint64_t after = heap_allocs();
+
+  EXPECT_EQ(after - before, 0u)
+      << "overflow-timer steady state allocated " << (after - before)
+      << " time(s) over 12800 messages";
+  // Both paths ran inside the window: overflow timers fired, bursts landed.
+  EXPECT_GE(lane.timers_fired.load(std::memory_order_relaxed) - fired_before,
+            10u);
+  EXPECT_EQ(left.received() + right.received(), 2u * (40 * 64 + 200 * 32));
 }
 
 TEST(ZeroAlloc, FullEventRingAppendDoesNotTouchTheHeap) {
